@@ -6,7 +6,7 @@ class BlockRangeError(Exception):
 
 
 class NonConvergence(BlockRangeError):
-    """Eigensolver exhausted its iteration budget before reaching tolerance."""
+    """Eigensolver failed, or an eigenpair residual exceeded its tolerance."""
 
 
 class NotUnit(BlockRangeError):

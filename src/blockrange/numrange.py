@@ -19,7 +19,7 @@ from .errors import EmptyInput
 from .linalg import DEFAULT_EIG_TOL, ComplexMatrix, max_eigenpairs_batch
 
 _CACHE_CAP = 512
-_range_cache: dict[tuple[bytes, int, int], "NumericalRangeResult"] = {}
+_range_cache: dict[tuple[bytes, int, float], "NumericalRangeResult"] = {}
 
 
 @dataclass(frozen=True)
@@ -49,7 +49,7 @@ def numerical_range(
     cache: bool = True,
 ) -> NumericalRangeResult:
     """Inner/outer approximation of W(A) on a ``grid``-direction angle grid."""
-    key = (a.entries.tobytes(), grid, 1)
+    key = (a.entries.tobytes(), grid, tol)
     if cache:
         hit = _range_cache.get(key)
         if hit is not None:

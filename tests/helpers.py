@@ -3,8 +3,8 @@
 The oracles deliberately avoid the library's own algorithms: the hull
 oracle is gift wrapping (the library uses a monotone chain / qhull), the
 eigenvalue oracle bisects the sign of the characteristic determinant (the
-library uses Jacobi rotations), and range membership is checked by direct
-Monte-Carlo Rayleigh sampling.
+library calls LAPACK through ``numpy.linalg.eigh``), and range membership
+is checked by direct Monte-Carlo Rayleigh sampling.
 """
 
 from __future__ import annotations

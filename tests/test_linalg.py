@@ -3,7 +3,7 @@ import pytest
 from numpy.testing import assert_allclose
 
 from blockrange import ComplexMatrix, NonConvergence, NotUnit, hermitian_part, max_eigenpair, rayleigh
-from blockrange.linalg import jacobi_eigh_batch, max_eigenpairs_batch
+from blockrange.linalg import max_eigenpairs_batch
 
 from helpers import charpoly_lambda_max, random_hermitian, random_matrix, random_unit_vector
 
@@ -29,6 +29,13 @@ class TestComplexMatrix:
     def test_rejects_bound_below_column_norm(self):
         with pytest.raises(ValueError):
             ComplexMatrix([[3, 0], [0, 4]], norm_bound=1.0)
+
+    def test_any_memory_layout(self, rng):
+        e = random_matrix(rng, 4).entries
+        for arr in (e.T, np.asfortranarray(e)):
+            m = ComplexMatrix(arr)
+            assert m == ComplexMatrix(np.ascontiguousarray(arr))
+            assert hash(m) == hash(ComplexMatrix(np.ascontiguousarray(arr)))
 
     def test_accepts_tighter_valid_bound(self):
         # spectral norm of this rank-1-ish matrix is below Frobenius
@@ -105,11 +112,19 @@ class TestMaxEigenpair:
         with pytest.raises(NonConvergence):
             max_eigenpair(ComplexMatrix(h), tol=1e-30)
 
-    def test_batch_eigendecomposition_reconstructs(self, rng):
+    def test_batch_matches_charpoly_bisection(self, rng):
         batch = np.stack([random_hermitian(rng, 6) for _ in range(40)])
-        vals, vecs, _ = jacobi_eigh_batch(batch)
-        recon = np.einsum("mik,mk,mjk->mij", vecs, vals, vecs.conj())
-        assert np.max(np.abs(recon - batch)) < 1e-12
+        lams, _, _ = max_eigenpairs_batch(batch)
+        want = [charpoly_lambda_max(h) for h in batch]
+        assert np.max(np.abs(lams - want)) < 1e-10
+
+    def test_lapack_failure_raises(self, rng, monkeypatch):
+        def fail(_):
+            raise np.linalg.LinAlgError("Eigenvalues did not converge")
+
+        monkeypatch.setattr(np.linalg, "eigh", fail)
+        with pytest.raises(NonConvergence):
+            max_eigenpairs_batch(random_hermitian(rng, 3)[None])
 
     def test_one_by_one(self):
         res = max_eigenpair(ComplexMatrix([[2.5]]))

@@ -5,6 +5,7 @@ from numpy.testing import assert_allclose
 from blockrange import (
     ComplexMatrix,
     EmptyInput,
+    NonConvergence,
     block_numerical_range,
     boundary_point,
     hausdorff,
@@ -129,6 +130,22 @@ class TestNumericalRange:
         r1 = numerical_range(a, grid=64)
         r2 = numerical_range(a, grid=64)
         assert r1 is r2
+
+    def test_cache_respects_tolerance(self, rng):
+        a = random_matrix(rng, 4)
+        numerical_range(a, grid=64)
+        with pytest.raises(NonConvergence):
+            numerical_range(a, grid=64, tol=1e-30)
+
+    def test_scale_covariance_at_extreme_scales(self, rng):
+        # W(cA) = c W(A): the eigenpair certificate is relative to the scale
+        a = random_matrix(rng, 4)
+        base = numerical_range(a, grid=256, cache=False)
+        for c in (1e-8, 1e4, 1e8, 1e150):
+            res = numerical_range(ComplexMatrix(c * a.entries), grid=256, cache=False)
+            assert np.max(np.abs(res.outer.support / c - base.outer.support)) < 1e-12
+            assert np.max(np.abs(res.attained / c - base.attained)) < 1e-12
+            assert res.gap / c == pytest.approx(base.gap, rel=1e-9)
 
     def test_hermitian_matrix_gives_real_segment(self, rng):
         h = ComplexMatrix(np.diag([1.0, 2.0, 4.0]))
