@@ -4,6 +4,16 @@ Regions are stored canonically: a counterclockwise vertex polygon plus the
 support values ``h[j] = max Re(x * conj(d_j))`` over the grid directions
 ``d_j = exp(2 pi i j / K)``.  The support vector is always recomputed from
 the vertices, so the two views can never drift apart.
+
+Support queries go through the polygon's normal fan: vertex i supports
+exactly the directions between the outward normals of its two edges, so
+the supporting vertex of any batch of directions is a ``searchsorted`` in
+the normal angles.  The grid support vector, the diameter (over the fan
+merged with itself turned by pi) and the region-region Hausdorff distance
+(over the merged fans of both polygons, exact over all directions, not
+only the grid) are built on that lookup.  Polygons that arrive already in
+counterclockwise angular order (attained points, consecutive support
+lines) are certified as their own hull in one vectorised pass.
 """
 
 from __future__ import annotations
@@ -32,11 +42,15 @@ def _cross(o: complex, a: complex, b: complex) -> float:
     return (a.real - o.real) * (b.imag - o.imag) - (a.imag - o.imag) * (b.real - o.real)
 
 
+def _snap(pts: np.ndarray) -> np.ndarray:
+    """Round onto a grid of ~1e-14 relative spacing; equal snaps coincide."""
+    eps = 1e-14 * max(1.0, float(np.abs(pts).max()))
+    return np.round(pts.real / eps) * eps + 1j * (np.round(pts.imag / eps) * eps)
+
+
 def _merge_coincident(pts: np.ndarray) -> np.ndarray:
     """Collapse points that agree to ~1e-14 relative (keeps originals)."""
-    eps = 1e-14 * max(1.0, float(np.abs(pts).max()))
-    snapped = np.round(pts.real / eps) * eps + 1j * (np.round(pts.imag / eps) * eps)
-    _, idx = np.unique(snapped, return_index=True)
+    _, idx = np.unique(_snap(pts), return_index=True)
     return np.unique(pts[idx])
 
 
@@ -66,8 +80,40 @@ def _chain_hull(points: np.ndarray) -> np.ndarray:
     return hull if hull.size else pts[:1]
 
 
+def _ordered_hull(pts: np.ndarray) -> np.ndarray | None:
+    """``pts`` itself, if it is already a strictly convex CCW polygon.
+
+    Only consecutive exact repeats are dropped.  The order is accepted when
+    every turn is strictly left by the chain's own cross product, with no
+    tolerance, the turns add up to one full turn (a twice-wound polygon
+    fails), and no two points would be merged as coincident; the polygon
+    is then rotated to start at its lexicographically smallest point, so
+    it equals the chain's output.  Returns None otherwise.
+    """
+    if pts.size < 3:
+        return None
+    v = pts[np.concatenate(([pts[0] != pts[-1]], pts[1:] != pts[:-1]))]
+    if v.size < 3:
+        return None
+    o, b = np.concatenate((v[-1:], v[:-1])), np.concatenate((v[1:], v[:1]))
+    cross = (v.real - o.real) * (b.imag - o.imag) - (v.imag - o.imag) * (b.real - o.real)
+    if not np.all(cross > 0.0):
+        return None
+    if np.angle((b - v) * (v - o).conj()).sum() > 3.0 * np.pi:
+        return None
+    snapped = np.sort(_snap(v))
+    if np.any(snapped[1:] == snapped[:-1]):
+        return None
+    # numpy orders complex numbers lexicographically, as the chain's sort
+    k = int(np.argmin(v))
+    return np.concatenate((v[k:], v[:k]))
+
+
 def _hull_vertices(points: np.ndarray) -> np.ndarray:
     pts = np.asarray(points, dtype=np.complex128).ravel()
+    ordered = _ordered_hull(pts)
+    if ordered is not None:
+        return ordered
     if pts.size > _QHULL_CUTOVER:
         xy = np.column_stack([pts.real, pts.imag])
         try:
@@ -80,9 +126,47 @@ def _hull_vertices(points: np.ndarray) -> np.ndarray:
     return _chain_hull(pts)
 
 
+# -- normal fans --------------------------------------------------------
+
+
+def _fan(v: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Normal fan of a CCW convex polygon.
+
+    Returns the indices j of the edges v[j] -> v[j+1] of nonzero length and
+    the angles of their outward normals.  The angles start at the first
+    edge's normal and add up the turns between consecutive edges, so they
+    increase over one full turn even where rounding makes two edges look
+    parallel.  Vertex ``edges[i]`` supports exactly the directions from
+    normal i-1 to normal i.
+    """
+    e = np.concatenate((v[1:], v[:1])) - v
+    edges = np.flatnonzero(e)
+    d = e[edges]
+    turns = np.abs(np.angle(d[1:] * d[:-1].conj()))
+    normals = np.angle(d[:1]) - 0.5 * np.pi
+    return edges, np.concatenate((normals, normals + np.cumsum(turns)))
+
+
+def _supporting(fan: tuple[np.ndarray, np.ndarray], phi: np.ndarray) -> np.ndarray:
+    """Index of the vertex that maximises Re(x e^{-i phi}) over the polygon
+    with normal fan ``fan``, for each direction angle in ``phi``."""
+    edges, normals = fan
+    if edges.size == 0:
+        return np.zeros(phi.shape, dtype=np.intp)
+    t = np.mod(phi - normals[0], 2.0 * np.pi)
+    return edges[np.searchsorted(normals - normals[0], t, side="right") % edges.size]
+
+
+def _arcs(*angles: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Start and end of the arcs that the given breakpoint angles, and 0,
+    cut the circle into; the arcs cover one full turn."""
+    start = np.sort(np.mod(np.concatenate((np.zeros(1), *angles)), 2.0 * np.pi))
+    return start, np.append(start[1:], start[0] + 2.0 * np.pi)
+
+
 def _supports_of(vertices: np.ndarray, k: int) -> np.ndarray:
-    dirs = np.exp(1j * grid_angles(k))
-    return np.max(np.real(vertices[:, None] * dirs[None, :].conj()), axis=0)
+    th = grid_angles(k)
+    return np.real(vertices[_supporting(_fan(vertices), th)] * np.exp(1j * th).conj())
 
 
 @dataclass(frozen=True)
@@ -188,9 +272,8 @@ class ConvexRegion:
         if h.size != k:
             raise ValueError(f"support has {h.size} entries, expected {k}")
         th = grid_angles(k)
-        th_next = np.roll(th, -1)
-        th_next[-1] += 2.0 * np.pi
-        h_next = np.roll(h, -1)
+        th_next = np.append(th[1:], 2.0 * np.pi)
+        h_next = np.append(h[1:], h[:1])
         det = np.sin(th_next - th)
         vx = (h * np.sin(th_next) - h_next * np.sin(th)) / det
         vy = (h_next * np.cos(th) - h * np.cos(th_next)) / det
@@ -205,14 +288,14 @@ class ConvexRegion:
 
     @property
     def diameter(self) -> float:
+        """Largest vertex distance, over the antipodal pairs: the vertices
+        supporting opposite directions, on the fan merged with itself
+        turned by pi."""
         v = self.vertices
-        if v.size == 1:
-            return 0.0
-        d = np.abs(v[:, None] - v[None, :])
-        return float(d.max())
-
-    def centroid(self) -> complex:
-        return complex(self.vertices.mean())
+        fan = _fan(v)
+        start, end = _arcs(fan[1], fan[1] + np.pi)
+        mid = 0.5 * (start + end)
+        return float(np.abs(v[_supporting(fan, mid)] - v[_supporting(fan, mid + np.pi)]).max())
 
     def translate(self, z: complex) -> "ConvexRegion":
         return ConvexRegion._build(self.vertices + z, self.grid_size)
@@ -298,25 +381,42 @@ def convex_hull(points, grid: int = DEFAULT_GRID) -> ConvexRegion:
     return ConvexRegion.from_points(points, grid)
 
 
-def _directed_region(a: ConvexRegion, b: ConvexRegion) -> float:
-    return float(b.distance(a.vertices).max())
-
-
 def _cloud_points(x) -> np.ndarray:
     return x.points if isinstance(x, PointCloud) else np.asarray(x, complex).ravel()
+
+
+def _region_hausdorff(a: ConvexRegion, b: ConvexRegion) -> float:
+    fa, fb = _fan(a.vertices), _fan(b.vertices)
+    start, end = _arcs(fa[1], fb[1])
+    mid = 0.5 * (start + end)
+    diff = a.vertices[_supporting(fa, mid)] - b.vertices[_supporting(fb, mid)]
+    rot = np.exp(-1j * np.append(start, end[-1]))
+    ends = np.maximum(np.abs(np.real(diff * rot[:-1])), np.abs(np.real(diff * rot[1:])))
+    # |Re(diff e^{-i phi})| peaks at |diff| where phi = arg(diff) mod pi
+    peak = np.angle(diff)
+    peak = peak + np.pi * np.ceil((start - peak) / np.pi)
+    return float(np.where(peak <= end, np.abs(diff), ends).max())
 
 
 def hausdorff(a, b) -> float:
     """Hausdorff distance between regions and/or clouds.
 
-    Region-region and cloud-cloud cases are exact (up to fp).  The mixed
-    case samples the region at a spacing tied to its diameter, so it
-    carries a small extra sampling error.
+    Region-region is exact over all directions.  For convex sets
+    d_H(A, B) = sup_u |h_A(u) - h_B(u)| over unit directions u: the
+    directed distance from A to B is the largest excess of h_A over h_B
+    (and, the distance to a convex set being a convex function, it is
+    attained at a vertex of A).  On each
+    arc of the two merged normal fans the supporting vertices a and b are
+    fixed, so the arc's maximum of |Re((a - b) e^{-i phi})| is |a - b| when
+    the arc contains arg(a - b) mod pi, and its value at an arc end
+    otherwise.  Cloud-cloud is exact (up to fp).  The mixed case samples
+    the region at a spacing tied to its diameter, so it carries a small
+    extra sampling error.
     """
     a_region = isinstance(a, ConvexRegion)
     b_region = isinstance(b, ConvexRegion)
     if a_region and b_region:
-        return max(_directed_region(a, b), _directed_region(b, a))
+        return _region_hausdorff(a, b)
     if not a_region and not b_region:
         pa = _cloud_points(a)
         pb = _cloud_points(b)

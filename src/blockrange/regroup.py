@@ -17,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .blockop import BlockOperatorSpec
-from .convex2d import DEFAULT_GRID, ConvexRegion, extreme_points
+from .convex2d import DEFAULT_GRID, ConvexRegion, extreme_points, hausdorff
 from .errors import DegenerateGeometry, ScanExhausted, ValidationError
 from .essrange import EssentialRangeResult
 from .linalg import DEFAULT_EIG_TOL
@@ -282,9 +282,7 @@ def verify_conv_free(
 ) -> float:
     """Worst Hausdorff distance between late group ranges and the target.
 
-    Convexity makes both directed distances exact on vertices: the group
-    range and the essential range are polygons, and point-to-region
-    distance is a convex function, so maxima are attained at vertices.
+    Both are convex polygons, so ``hausdorff`` gives each distance exactly.
     ``from_level`` defaults to half the group count.
     """
     region = we.region if isinstance(we, EssentialRangeResult) else we
@@ -294,8 +292,5 @@ def verify_conv_free(
         raise ValueError(f"from_level {k0} out of range 1..{g}")
     worst = 0.0
     for m in range(k0, g + 1):
-        r = group_region(spec, decomp, m, grid, tol)
-        outward = float(region.distance(r.vertices).max())
-        inward = float(r.distance(region.vertices).max())
-        worst = max(worst, outward, inward)
+        worst = max(worst, hausdorff(region, group_region(spec, decomp, m, grid, tol)))
     return worst

@@ -2,9 +2,11 @@
 
 The oracles deliberately avoid the library's own algorithms: the hull
 oracle is gift wrapping (the library uses a monotone chain / qhull), the
-eigenvalue oracle bisects the sign of the characteristic determinant (the
-library calls LAPACK through ``numpy.linalg.eigh``), and range membership
-is checked by direct Monte-Carlo Rayleigh sampling.
+support, diameter and Hausdorff oracles scan every vertex, vertex pair and
+vertex-edge pair (the library walks normal fans), the eigenvalue oracle
+bisects the sign of the characteristic determinant (the library calls
+LAPACK through ``numpy.linalg.eigh``), and range membership is checked by
+direct Monte-Carlo Rayleigh sampling.
 """
 
 from __future__ import annotations
@@ -71,6 +73,49 @@ def gift_wrap_hull(points) -> np.ndarray:
     # the library's canonical ordering)
     k = np.lexsort((arr.imag, arr.real))[0]
     return np.roll(arr, -k)
+
+
+def brute_support(points, angles) -> np.ndarray:
+    """max Re(x e^{-i theta}) over all the points, for each angle."""
+    pts = np.asarray(points, dtype=np.complex128).ravel()
+    return np.array([max((p * np.exp(-1j * t)).real for p in pts) for t in angles])
+
+
+def brute_diameter(points) -> float:
+    """Largest distance over all pairs of points."""
+    pts = np.asarray(points, dtype=np.complex128).ravel()
+    return max(float(np.abs(pts - p).max()) for p in pts)
+
+
+def _segment_distance(p: complex, a: complex, b: complex) -> float:
+    ab = b - a
+    t = 0.0 if ab == 0 else min(1.0, max(0.0, ((p - a) * ab.conjugate()).real / abs(ab) ** 2))
+    return abs(p - (a + t * ab))
+
+
+def _polygon_distance(p: complex, corners) -> float:
+    """Distance from ``p`` to the convex polygon with CCW ``corners`` (0 inside)."""
+    n = len(corners)
+    if n == 1:
+        return abs(p - corners[0])
+    edges = [(corners[i], corners[(i + 1) % n]) for i in range(n)]
+    if n > 2 and all(((b - a).conjugate() * (p - a)).imag >= 0 for a, b in edges):
+        return 0.0
+    return min(_segment_distance(p, a, b) for a, b in edges)
+
+
+def brute_hausdorff(points_a, points_b) -> float:
+    """Hausdorff distance between the convex hulls of two point sets.
+
+    The distance to a convex set is a convex function, so each directed
+    distance peaks at a corner: the answer is the largest corner-to-polygon
+    distance either way, each found by scanning every edge.
+    """
+    ha = [complex(z) for z in gift_wrap_hull(points_a)]
+    hb = [complex(z) for z in gift_wrap_hull(points_b)]
+    a_to_b = max(_polygon_distance(p, hb) for p in ha)
+    b_to_a = max(_polygon_distance(p, ha) for p in hb)
+    return max(a_to_b, b_to_a)
 
 
 def charpoly_lambda_max(h: np.ndarray, iters: int = 100) -> float:

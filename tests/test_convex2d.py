@@ -5,6 +5,7 @@ from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
 from blockrange import (
+    ComplexMatrix,
     ConvexRegion,
     ConvexWeights,
     EmptyInput,
@@ -17,10 +18,11 @@ from blockrange import (
     hausdorff,
     intersect_regions,
     nested_conv_exchange,
+    numerical_range,
 )
-from blockrange.convex2d import _chain_hull, _hull_vertices
+from blockrange.convex2d import _chain_hull, _hull_vertices, _ordered_hull
 
-from helpers import gift_wrap_hull
+from helpers import brute_diameter, brute_hausdorff, brute_support, gift_wrap_hull
 
 # reasonable planar coordinates, no overflow surprises
 coord = st.floats(min_value=-100, max_value=100, allow_nan=False, allow_infinity=False)
@@ -79,6 +81,44 @@ class TestHull:
         verts = _hull_vertices(pts)
         assert verts.size == 2
 
+    def test_ordered_input_against_gift_wrapping(self, rng):
+        # each input is in an order the certificate must accept or refuse;
+        # either way the vertices and their order are the oracle's
+        ring = np.exp(2j * np.pi * np.arange(12) / 12) * (1.0 + 0.4j)
+        corner = 2.0 + 1.0j
+        cluster = corner + 1e-9 * (rng.standard_normal(3) + 1j * rng.standard_normal(3))
+        inputs = {
+            "repeated corners": np.repeat(ring, 3),
+            "closing repeat": np.append(ring, ring[0]),
+            "jittered corner cluster": np.concatenate([[-1 - 1j, 1 - 1j], cluster, [-1 + 1j]]),
+            "clockwise": ring[::-1],
+            "collinear": np.linspace(0, 1, 9) * (2 + 1j),
+            "twice wound": np.exp(4j * np.pi * np.arange(7) / 7),
+        }
+        for name, pts in inputs.items():
+            want = gift_wrap_hull(pts)
+            got = _hull_vertices(pts)
+            assert got.size == want.size, name
+            assert_allclose(got, want, rtol=0, atol=1e-15, err_msg=name)
+
+    def test_certified_order_is_the_chain_output(self, rng):
+        # attained points of random blocks come in angular order; whenever
+        # the fast path accepts them it returns exactly the chain's array
+        certified = 0
+        for _ in range(40):
+            n = int(rng.integers(2, 6))
+            g = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
+            pts = numerical_range(ComplexMatrix(g), cache=False).attained
+            fast = _ordered_hull(pts)
+            if fast is not None:
+                certified += 1
+                assert np.array_equal(fast, _chain_hull(pts))
+        assert certified >= 30
+        # a diamond thinner than the chain's coincidence snap turns left at
+        # every corner, but the chain merges its two middle corners
+        diamond = np.array([-1, -1e-16j, 1, 1e-16j])
+        assert np.array_equal(_hull_vertices(diamond), _chain_hull(diamond))
+
     @given(complex_points)
     @settings(max_examples=60, deadline=None)
     def test_hull_idempotent(self, pts):
@@ -120,6 +160,27 @@ class TestCanonical:
         # ... and it never cuts into the polygon
         assert rebuilt.support_excess(region.vertices).max() <= 1e-10
 
+    def test_support_against_vertex_scan(self, rng):
+        for k in (3, 7, 90, 360):
+            for scale in (1e-8, 1.0, 1e8):
+                pts = scale * (rng.standard_normal(30) + 1j * rng.standard_normal(30))
+                region = ConvexRegion.from_points(pts, grid=k)
+                want = brute_support(pts, grid_angles(k))
+                assert_allclose(region.support, want, rtol=0, atol=1e-14 * scale)
+        for pts in ([0.3 - 2j], [1 + 1j, -2 + 0.5j]):
+            region = ConvexRegion.from_points(pts, grid=12)
+            assert_allclose(region.support, brute_support(pts, grid_angles(12)), atol=1e-14)
+
+    def test_diameter_against_pair_scan(self, rng):
+        for scale in (1e-8, 1.0, 1e8):
+            for n in (1, 2, 3, 3, 4, 4, 5, 6, 8, 40) * 5:
+                pts = scale * (rng.standard_normal(n) + 1j * rng.standard_normal(n))
+                region = ConvexRegion.from_points(pts)
+                assert region.diameter == pytest.approx(brute_diameter(pts), rel=1e-14, abs=0)
+        circle = ConvexRegion.from_points(np.exp(2j * np.pi * np.arange(4096) / 4096))
+        assert circle.vertices.size == 4096
+        assert circle.diameter == pytest.approx(2.0, abs=1e-15)
+
     def test_from_support_singleton(self):
         z = 0.7 - 0.2j
         dirs = np.exp(1j * grid_angles(64))
@@ -144,6 +205,30 @@ class TestHausdorff:
         sq = ConvexRegion.from_points([-1 - 1j, 1 - 1j, 1 + 1j, -1 + 1j])
         disc = ConvexRegion.from_points(disc_points(0, 1.0, 2000))
         assert hausdorff(sq, disc) == pytest.approx(np.sqrt(2) - 1, abs=1e-3)
+
+    def test_region_pairs_against_vertex_edge_scan(self, rng):
+        def cloud(n, center=0j, size=1.0):
+            return center + size * (rng.standard_normal(n) + 1j * rng.standard_normal(n))
+
+        square_pts = np.array([0, 1, 1 + 1j, 1j])
+        for scale in (1e-8, 1e-3, 1.0, 1e3, 1e8):
+            base = cloud(24)
+            pairs = [
+                (cloud(1), cloud(1)),                       # points
+                (cloud(1), cloud(20)),                      # point, polygon
+                (cloud(2), cloud(2, 0.5)),                  # segments
+                (cloud(2), cloud(15)),                      # segment, polygon
+                (base, 0.5 * (base[:12] + base[12:])),      # nested: midpoints
+                (square_pts, square_pts + 1 + 0.5j),        # touching along an edge
+                (square_pts, 2 * square_pts + 1),           # touching at a corner
+                (cloud(20), cloud(20, 8 + 3j, 0.5)),        # disjoint
+                (base, base + 0.3 - 0.1j),                  # translates
+            ]
+            for pa, pb in pairs:
+                pa, pb = scale * np.asarray(pa), scale * np.asarray(pb)
+                got = hausdorff(ConvexRegion.from_points(pa), ConvexRegion.from_points(pb))
+                want = brute_hausdorff(pa, pb)
+                assert got == pytest.approx(want, rel=1e-12, abs=1e-14 * scale)
 
     def test_cloud_cloud(self):
         a = PointCloud(np.array([0j, 1 + 0j]))
