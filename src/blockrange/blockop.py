@@ -6,11 +6,18 @@ blocks, or a named builtin family), plus an optional uniform scalar shift:
 block n of the operator is B_n - shift * I.  Windows of block ranges and
 their stabilised limit superior are sampled as point clouds with explicit
 resolution bookkeeping.
+
+Block ranges are memoised per operator: every spec-level request goes
+through ``BlockOperatorSpec.range_of``, whose FIFO-bounded memo lives on
+the spec, so overlapping tail windows, regroup scans and group ranges of
+one operator compute each distinct block range once.  ``numerical_range``
+itself is pure and keeps no state.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import math
+from dataclasses import dataclass, field
 from typing import ClassVar, Union
 
 import numpy as np
@@ -18,11 +25,14 @@ import numpy as np
 from .convex2d import DEFAULT_GRID, PointCloud, hausdorff
 from .errors import HorizonTooSmall, NoConvergence, ValidationError
 from .linalg import DEFAULT_EIG_TOL, ComplexMatrix
-from .numrange import numerical_range
+from .numrange import NumericalRangeResult, numerical_range
 
 DEFAULT_EPS = 1e-3
 DEFAULT_K_CAP = 2**20
 _VANISHING_WINDOW_CAP = 256
+# A regroup scan of a non-scalar tail may visit up to scan_cap distinct
+# blocks, at about 28 KB per grid-360 result, so the memo is bounded.
+_RANGE_MEMO_CAP = 512
 
 
 class _DenseAngleTable:
@@ -105,10 +115,10 @@ class VanishingTail:
         lims = _matrix_tuple(self.limits, "limits")
         if not lims:
             raise ValidationError("vanishing tail needs at least one limit block")
-        if self.decay_scale < 0:
-            raise ValidationError("decay scale must be non-negative")
-        if self.decay_power <= 0:
-            raise ValidationError("decay power must be positive")
+        if not (math.isfinite(self.decay_scale) and self.decay_scale >= 0):
+            raise ValidationError("decay scale must be finite and non-negative")
+        if not (math.isfinite(self.decay_power) and self.decay_power > 0):
+            raise ValidationError("decay power must be finite and positive")
         object.__setattr__(self, "limits", lims)
 
     def decay(self, n: int) -> float:
@@ -189,10 +199,16 @@ class BlockOperatorSpec:
     prefix: tuple[ComplexMatrix, ...]
     tail: Tail
     shift: complex = 0j
+    _ranges: dict[tuple[bytes, int, float], NumericalRangeResult] = field(
+        default_factory=dict, init=False, repr=False, compare=False
+    )
 
     def __post_init__(self):
         object.__setattr__(self, "prefix", _matrix_tuple(self.prefix, "prefix"))
-        object.__setattr__(self, "shift", complex(self.shift))
+        shift = complex(self.shift)
+        if not (math.isfinite(shift.real) and math.isfinite(shift.imag)):
+            raise ValidationError(f"shift must be finite, got {shift}")
+        object.__setattr__(self, "shift", shift)
 
     @property
     def prefix_len(self) -> int:
@@ -209,10 +225,22 @@ class BlockOperatorSpec:
             return m
         return ComplexMatrix(m.entries - self.shift * np.eye(m.dim))
 
+    def range_of(self, m: ComplexMatrix, grid: int, tol: float) -> NumericalRangeResult:
+        """``numerical_range(m, grid, tol)`` of a block of this operator,
+        memoised on the spec: a repeated request returns the same object."""
+        key = (m.entries.tobytes(), grid, tol)
+        hit = self._ranges.get(key)
+        if hit is None:
+            hit = numerical_range(m, grid, tol)
+            if len(self._ranges) >= _RANGE_MEMO_CAP:
+                self._ranges.pop(next(iter(self._ranges)))
+            self._ranges[key] = hit
+        return hit
+
     def block(self, n: int) -> ComplexMatrix:
         """Block at 1-based index ``n`` (shift already applied)."""
         if n < 1:
-            raise ValueError(f"block indices are 1-based, got {n}")
+            raise ValidationError(f"block indices are 1-based, got {n}")
         if n <= len(self.prefix):
             base = self.prefix[n - 1]
         else:
@@ -276,7 +304,7 @@ def _attained_vertices(spec: BlockOperatorSpec, indices, grid: int, tol: float):
         if key in seen:
             continue
         seen.add(key)
-        res = numerical_range(blk, grid, tol)
+        res = spec.range_of(blk, grid, tol)
         pts.append(res.inner.vertices)
         gap = max(gap, res.gap)
     return pts, gap
@@ -307,7 +335,7 @@ def tail_union(
     tail measures its own angular coverage.
     """
     if start < 1:
-        raise ValueError(f"start must be >= 1, got {start}")
+        raise ValidationError(f"start must be >= 1, got {start}")
     p = len(spec.prefix)
     t = spec.tail
     prefix_left = max(p - start + 1, 0)
@@ -336,7 +364,7 @@ def tail_union(
         real = min(horizon, _VANISHING_WINDOW_CAP)
         pts, gap = _attained_vertices(spec, range(start, start + real), grid, tol)
         for lim in t.limits:
-            res = numerical_range(spec.apply_shift(lim), grid, tol)
+            res = spec.range_of(spec.apply_shift(lim), grid, tol)
             pts.append(res.inner.vertices)
             gap = max(gap, res.gap)
         # Blocks beyond the evaluated window sit within decay(n) of a limit
@@ -394,8 +422,10 @@ def limsup_ranges(
     the prefix, so they short-circuit; other tails are driven by doubling
     the window start until consecutive unions agree within ``eps``.
     """
-    if eps <= 0:
-        raise ValueError("eps must be positive")
+    if not (math.isfinite(eps) and eps > 0):
+        raise ValidationError(f"eps must be finite and positive, got {eps}")
+    if k_cap < 1:
+        raise ValidationError(f"k_cap must be at least 1, got {k_cap}")
     p = len(spec.prefix)
     t = spec.tail
     k0 = p + 1
@@ -408,7 +438,7 @@ def limsup_ranges(
         pts = []
         gap = 0.0
         for lim in t.limits:
-            res = numerical_range(spec.apply_shift(lim), grid, tol)
+            res = spec.range_of(spec.apply_shift(lim), grid, tol)
             pts.append(res.inner.vertices)
             gap = max(gap, res.gap)
         cloud = PointCloud(np.concatenate(pts), gap)

@@ -39,7 +39,6 @@ from .errors import (
 )
 from .essrange import (
     EssentialRangeResult,
-    diagonal_essential_range,
     essential_numerical_range,
     translate_spec,
 )
@@ -242,15 +241,9 @@ def _load_spec(args) -> BlockOperatorSpec:
 
 
 def _compute_essential(spec: BlockOperatorSpec, args) -> EssentialRangeResult:
-    kwargs = dict(
-        grid=args.angles,
-        eps=args.eps,
-        k_cap=args.k_cap,
-        horizon=args.horizon,
+    return essential_numerical_range(
+        spec, grid=args.angles, eps=args.eps, k_cap=args.k_cap, horizon=args.horizon
     )
-    if getattr(args, "diagonal", False):
-        return diagonal_essential_range(spec, **kwargs)
-    return essential_numerical_range(spec, **kwargs)
 
 
 def _cmd_range(args) -> int:
@@ -452,8 +445,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_ess = sub.add_parser("essential", parents=[common],
                            help="essential numerical range of the operator")
-    p_ess.add_argument("--diagonal", action="store_true",
-                       help="use the diagonal-operator route (all blocks 1x1)")
     p_ess.set_defaults(func=_cmd_essential)
 
     p_dec = sub.add_parser("decompose", parents=[common],
@@ -462,7 +453,6 @@ def build_parser() -> argparse.ArgumentParser:
                        help="number of groups to build (default 64)")
     p_dec.add_argument("--scan-cap", type=int, default=10**6, dest="scan_cap",
                        help="blocks examined per scan before giving up")
-    p_dec.add_argument("--diagonal", action="store_true", help=argparse.SUPPRESS)
     p_dec.set_defaults(func=_cmd_decompose)
 
     p_ver = sub.add_parser("verify", parents=[common],
@@ -474,7 +464,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_ver.add_argument("--identity", action="store_true",
                        help="score the one-block-per-group baseline instead "
                             "of regrouping")
-    p_ver.add_argument("--diagonal", action="store_true", help=argparse.SUPPRESS)
     p_ver.set_defaults(func=_cmd_verify)
 
     p_orc = sub.add_parser("oracle", parents=[common],

@@ -24,7 +24,7 @@ import numpy as np
 from scipy.spatial import ConvexHull as _QHull
 from scipy.spatial import QhullError, cKDTree
 
-from .errors import EmptyInput, EmptyIntersection, NotNested
+from .errors import EmptyInput, EmptyIntersection, NotNested, ValidationError
 
 DEFAULT_GRID = 360
 _QHULL_CUTOVER = 4096
@@ -34,7 +34,7 @@ _CHUNK = 4096
 def grid_angles(k: int) -> np.ndarray:
     """The shared angle grid theta_j = 2 pi j / k, j = 0..k-1."""
     if k < 3:
-        raise ValueError(f"angle grid needs at least 3 directions, got {k}")
+        raise ValidationError(f"angle grid needs at least 3 directions, got {k}")
     return 2.0 * np.pi * np.arange(k) / k
 
 

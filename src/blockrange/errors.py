@@ -63,8 +63,8 @@ class ParseError(BlockRangeError):
     """Operator spec document is not syntactically valid."""
 
 
-class ValidationError(BlockRangeError):
-    """Operator spec document violates the schema or an invariant."""
+class ValidationError(BlockRangeError, ValueError):
+    """An operator document or a parameter violates the schema or an invariant."""
 
 
 class IndexBelowK(BlockRangeError):

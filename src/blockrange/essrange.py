@@ -10,9 +10,8 @@ implementation bug and raises.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, replace
-
-import numpy as np
 
 from .blockop import (
     DEFAULT_EPS,
@@ -29,7 +28,7 @@ from .convex2d import (
     hausdorff,
     intersect_regions,
 )
-from .errors import InconsistentResult, ValidationError
+from .errors import InconsistentResult, NoConvergence
 from .linalg import DEFAULT_EIG_TOL
 
 _GAP_FACTOR = 10.0
@@ -61,10 +60,14 @@ def _consistency_gate(gap: float, tolerance: float, what: str) -> None:
         )
 
 
-def _start_schedule(spec: BlockOperatorSpec, converged_at: int, eps: float) -> list[int]:
+def _start_schedule(
+    spec: BlockOperatorSpec, converged_at: int, eps: float, k_cap: int
+) -> list[int]:
     """Window starts for the intersection route: doubling up to convergence,
     plus (for vanishing tails) a start deep enough that the perturbations
-    have shrunk below the stabilisation threshold."""
+    have shrunk below the stabilisation threshold.  That start raises
+    NoConvergence beyond ``k_cap``; it is compared in log space, so a tiny
+    decay power cannot overflow."""
     ks = {1, converged_at}
     k = 2
     while k < converged_at:
@@ -72,7 +75,16 @@ def _start_schedule(spec: BlockOperatorSpec, converged_at: int, eps: float) -> l
         k *= 2
     t = spec.tail
     if isinstance(t, VanishingTail) and t.decay_scale > 0:
-        deep = int(np.ceil((t.decay_scale / eps) ** (1.0 / t.decay_power))) + 1
+        ratio = t.decay_scale / eps
+        # the decay evaluates float(n) ** -p, so a usable start is also a
+        # finite float; 2**1000 keeps ratio ** (1 / p) clear of overflow
+        cap = min(k_cap, 2.0**1000)
+        if ratio > 1 and math.log(ratio) / t.decay_power > math.log(cap):
+            raise NoConvergence(
+                f"perturbations c * n^-p stay above eps {eps} beyond the window "
+                f"start cap {k_cap}"
+            )
+        deep = math.ceil(ratio ** (1.0 / t.decay_power)) + 1
         ks.add(max(deep, converged_at))
     return sorted(ks)
 
@@ -90,7 +102,7 @@ def essential_numerical_range(
     region = ConvexRegion.from_cloud(lim.cloud, grid)
 
     inter: ConvexRegion | None = None
-    for start in _start_schedule(spec, lim.converged_at, eps):
+    for start in _start_schedule(spec, lim.converged_at, eps, k_cap):
         window = tail_union(spec, start, horizon, grid, tol)
         hull = ConvexRegion.from_cloud(window, grid)
         inter = hull if inter is None else intersect_regions(inter, hull)
@@ -101,64 +113,6 @@ def essential_numerical_range(
     _consistency_gate(gap, tolerance, "essential range")
     return EssentialRangeResult(
         region, lim.cloud, gap, lim.certificate, tolerance, lim.converged_at
-    )
-
-
-def _cluster_accumulation(points: np.ndarray, radius: float) -> np.ndarray:
-    """Greedy radius clustering; returns cluster means, deterministically."""
-    order = np.lexsort((points.imag, points.real))
-    pts = points[order]
-    centers: list[complex] = []
-    sums: list[complex] = []
-    counts: list[int] = []
-    for z in pts:
-        hit = -1
-        best = radius
-        for i, c in enumerate(centers):
-            d = abs(z - c)
-            if d <= best:
-                best = d
-                hit = i
-        if hit < 0:
-            centers.append(z)
-            sums.append(z)
-            counts.append(1)
-        else:
-            sums[hit] += z
-            counts[hit] += 1
-    return np.array([s / c for s, c in zip(sums, counts)], dtype=np.complex128)
-
-
-def diagonal_essential_range(
-    spec: BlockOperatorSpec,
-    grid: int = DEFAULT_GRID,
-    eps: float = DEFAULT_EPS,
-    k_cap: int = DEFAULT_K_CAP,
-    horizon: int | None = None,
-    tol: float = DEFAULT_EIG_TOL,
-) -> EssentialRangeResult:
-    """Essential numerical range of a diagonal operator (all blocks 1x1).
-
-    For diagonal operators the limsup cloud is just the set of accumulation
-    values of the diagonal sequence, so the region is the hull of cluster
-    representatives of that sequence.  The result is cross-validated
-    against the general block pipeline.
-    """
-    if not spec.is_scalar:
-        raise ValidationError("diagonal route requires every block to be 1x1")
-    general = essential_numerical_range(spec, grid, eps, k_cap, horizon, tol)
-    reps = _cluster_accumulation(general.limsup.points, max(eps, 1e-12))
-    region = ConvexRegion.from_points(reps, grid)
-    gap = float(hausdorff(region, general.region))
-    tolerance = general.tolerance + eps
-    _consistency_gate(gap, tolerance, "diagonal essential range")
-    return EssentialRangeResult(
-        region,
-        general.limsup,
-        max(gap, general.crosscheck_gap),
-        general.certificate,
-        tolerance,
-        general.converged_at,
     )
 
 

@@ -81,9 +81,9 @@ def inner_approximate(
     if start is None:
         start = spec.prefix_len + 1
     if start < 1:
-        raise ValueError(f"start must be >= 1, got {start}")
+        raise ValidationError(f"start must be >= 1, got {start}")
     if samples < 1 or window < 3:
-        raise ValueError("need at least one sample and a window of >= 3 blocks")
+        raise ValidationError("need at least one sample and a window of >= 3 blocks")
     rng = np.random.default_rng(seed)
 
     if spec.tail_is_scalar and start > spec.prefix_len:

@@ -21,7 +21,6 @@ from .convex2d import DEFAULT_GRID, ConvexRegion, extreme_points, hausdorff
 from .errors import DegenerateGeometry, ScanExhausted, ValidationError
 from .essrange import EssentialRangeResult
 from .linalg import DEFAULT_EIG_TOL
-from .numrange import numerical_range
 
 DEFAULT_REGROUP_EPS = 1e-2
 DEFAULT_DEPTH = 64
@@ -195,7 +194,7 @@ def _scan_window(spec: BlockOperatorSpec, target: complex, threshold: float,
             n += cnt
             budget -= cnt
         else:
-            inner = numerical_range(spec.block(n), grid, tol).inner
+            inner = spec.range_of(spec.block(n), grid, tol).inner
             d = float(inner.distance([target])[0])
             if d < threshold:
                 return n, d
@@ -220,10 +219,10 @@ def regroup(
     extreme point per angle bucket and extends the group until every pick
     has been approached within eps / m by some block range.
     """
-    if eps <= 0:
-        raise ValueError("eps must be positive")
+    if not (np.isfinite(eps) and eps > 0):
+        raise ValidationError(f"eps must be finite and positive, got {eps}")
     if depth < 1:
-        raise ValueError("depth must be at least 1")
+        raise ValidationError(f"depth must be at least 1, got {depth}")
     ext = extreme_points(we.region).points
     scale = max(float(np.abs(ext).max()), 1e-12)
     if float(np.min(np.abs(ext))) <= 1e-9 * scale:
@@ -267,7 +266,7 @@ def group_region(
             vals = spec.window_values(n, hi - n + 1)
             pts.append(vals)
             break
-        pts.append(numerical_range(spec.block(n), grid, tol).inner.vertices)
+        pts.append(spec.range_of(spec.block(n), grid, tol).inner.vertices)
         n += 1
     return ConvexRegion.from_points(np.concatenate(pts), grid)
 

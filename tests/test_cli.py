@@ -2,13 +2,17 @@
 
 import csv
 import json
+import os
 import shutil
 import subprocess
+import sys
 import xml.etree.ElementTree as ET
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import blockrange
 from blockrange import ParseError, ValidationError
 from blockrange.cli import main, parse_spec, parse_spec_dict, spec_to_dict
 
@@ -152,9 +156,13 @@ class TestEssentialCommand:
         ET.parse(svg_path)  # well-formed XML
 
     def test_diagonal_flag(self, tmp_path, capsys):
+        # the diagonal route is gone; scalar tails take the general route
         path = write_spec(tmp_path, scalar_periodic_spec([1.0, -1.0]))
-        assert main(["essential", path, "--diagonal"]) == 0
-        assert "essential range" in capsys.readouterr().out
+        for command in ("essential", "decompose", "verify"):
+            with pytest.raises(SystemExit) as exc:
+                main([command, path, "--diagonal"])
+            assert exc.value.code == 2
+            assert "--diagonal" in capsys.readouterr().err
 
     def test_deterministic_artifacts(self, tmp_path):
         path = write_spec(tmp_path, TWO_MATRIX)
@@ -251,6 +259,51 @@ class TestExitCodes:
         rc = main(["essential", path, "--horizon", "1"])
         assert rc == 2
         assert "error:" in capsys.readouterr().err
+
+
+def _vanishing_doc(c, p):
+    return {"tail": {"kind": "vanishing", "limits": [[[[0, 0]]], [[[1, 0]]]],
+                     "decay": {"type": "power", "c": c, "p": p}}}
+
+
+NAN_SHIFT = {"tail": {"kind": "periodic", "cycle": [[[[1, 0]]]]}, "shift": [float("nan"), 0]}
+
+
+@pytest.mark.parametrize(
+    "doc, args, code",
+    [
+        (TWO_MATRIX, ["essential", "--angles", "2"], 2),
+        (TWO_MATRIX, ["essential", "--eps", "0"], 2),
+        (TWO_MATRIX, ["essential", "--eps", "-1"], 2),
+        (TWO_MATRIX, ["essential", "--eps", "nan"], 2),
+        (TWO_MATRIX, ["range", "--block", "0"], 2),
+        (TWO_MATRIX, ["decompose", "--groups", "0"], 2),
+        (TWO_MATRIX, ["oracle", "--samples", "0"], 2),
+        (TWO_MATRIX, ["oracle", "--tail-start", "0"], 2),
+        (NAN_SHIFT, ["essential"], 2),
+        (_vanishing_doc(float("nan"), 1.0), ["essential"], 2),
+        (_vanishing_doc(0.5, 1e-9), ["essential"], 3),
+        (_vanishing_doc(0.5, 0.0078), ["essential", "--k-cap", str(10**400)], 3),
+    ],
+    ids=["angles_2", "eps_0", "eps_negative", "eps_nan", "block_0", "groups_0",
+         "samples_0", "tail_start_0", "nan_shift", "nan_decay_c", "tiny_decay_p",
+         "slow_decay_huge_k_cap"],
+)
+def test_bad_knobs_exit_cleanly(tmp_path, doc, args, code):
+    """Bad options and documents exit 2 (3 for a budget) with one ``error:``
+    line and no certificate; run as a fresh process, as a user sees it."""
+    path = write_spec(tmp_path, doc)
+    cert = tmp_path / "cert.json"
+    src = Path(blockrange.__file__).resolve().parents[1]
+    proc = subprocess.run(
+        [sys.executable, "-m", "blockrange.cli", args[0], path, *args[1:],
+         "--cert", str(cert)],
+        capture_output=True, text=True, env={**os.environ, "PYTHONPATH": str(src)}, timeout=120,
+    )
+    assert proc.returncode == code, proc.stderr
+    assert proc.stderr.startswith("error:")
+    assert "Traceback" not in proc.stderr
+    assert not cert.exists()
 
 
 @pytest.mark.skipif(shutil.which("blockrange") is None, reason="entry point not installed")

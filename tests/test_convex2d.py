@@ -108,7 +108,7 @@ class TestHull:
         for _ in range(40):
             n = int(rng.integers(2, 6))
             g = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
-            pts = numerical_range(ComplexMatrix(g), cache=False).attained
+            pts = numerical_range(ComplexMatrix(g)).attained
             fast = _ordered_hull(pts)
             if fast is not None:
                 certified += 1

@@ -15,14 +15,12 @@ from blockrange import (
     ConvexRegion,
     InconsistentResult,
     PeriodicTail,
-    ValidationError,
-    diagonal_essential_range,
     essential_numerical_range,
     hausdorff,
     numerical_range,
     translate_spec,
 )
-from blockrange.essrange import _cluster_accumulation, _consistency_gate
+from blockrange.essrange import _consistency_gate
 
 from helpers import (
     DIAG23,
@@ -73,6 +71,21 @@ class TestExactCases:
         want = ConvexRegion.from_points(pts)
         assert hausdorff(res.region, want) <= res.tolerance
 
+    @pytest.mark.parametrize(
+        "spec, corners, exact",
+        [
+            (scalar_periodic_spec([1.0, 1j, -1.0]), [1, 1j, -1], True),
+            (vanishing_spec([[[0.0]], [[1.0]], [[1j]]], c=0.3, p=1.0, seed=4), [0, 1, 1j], False),
+            (vanishing_spec([[[0.0]]], c=1.0, p=1.0), [0], False),
+        ],
+        ids=["periodic_cycle_values", "vanishing_limits", "vanishing_to_origin"],
+    )
+    def test_scalar_tail_is_hull_of_closed_form(self, spec, corners, exact):
+        # diagonal operators: the hull of the cycle values, or of the limits
+        res = essential_numerical_range(spec)
+        want = ConvexRegion.from_points(np.array(corners, dtype=np.complex128))
+        assert hausdorff(res.region, want) <= (1e-12 if exact else res.tolerance)
+
     def test_certificate_and_tolerance_recorded(self):
         res = essential_numerical_range(two_matrix_spec())
         assert res.certificate == ((1, 0.0),)
@@ -92,35 +105,6 @@ class TestTranslation:
         spec = translate_spec(translate_spec(constant_spec(DIAG23), 1.0), 1j)
         assert spec.shift == 1 + 1j
         assert_allclose(spec.block(5).entries, np.diag([2, 3]) - (1 + 1j) * np.eye(2))
-
-
-class TestDiagonalRoute:
-    def test_reciprocal_sequence_collapses_to_origin(self):
-        spec = vanishing_spec([[[0.0]]], c=1.0, p=1.0)
-        res = diagonal_essential_range(spec)
-        assert np.abs(res.region.vertices).max() <= res.tolerance
-
-    def test_triangle_of_scalar_limits(self):
-        spec = vanishing_spec([[[0.0]], [[1.0]], [[1j]]], c=0.3, p=1.0, seed=4)
-        res = diagonal_essential_range(spec)
-        want = ConvexRegion.from_points(np.array([0, 1, 1j]))
-        assert hausdorff(res.region, want) <= res.tolerance
-
-    def test_periodic_scalar_choices(self):
-        res = diagonal_essential_range(scalar_periodic_spec([1.0, 1j, -1.0]))
-        want = ConvexRegion.from_points(np.array([1, 1j, -1]))
-        assert hausdorff(res.region, want) < 1e-6
-
-    def test_matrix_blocks_rejected(self):
-        with pytest.raises(ValidationError):
-            diagonal_essential_range(two_matrix_spec())
-
-    def test_cluster_accumulation_merges_nearby(self):
-        pts = np.array([0.0, 1e-4, 1.0, 1.0 + 1e-4j, -2j])
-        reps = _cluster_accumulation(pts, 1e-2)
-        assert len(reps) == 3
-        reps = _cluster_accumulation(pts, 1e-6)
-        assert len(reps) == 5
 
 
 class TestConsistencyGate:

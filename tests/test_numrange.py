@@ -4,10 +4,8 @@ from numpy.testing import assert_allclose
 
 from blockrange import (
     ComplexMatrix,
-    EmptyInput,
-    NonConvergence,
-    block_numerical_range,
-    boundary_point,
+    ConvexRegion,
+    grid_angles,
     hausdorff,
     numerical_range,
     rayleigh,
@@ -26,30 +24,37 @@ from helpers import (
 
 
 class TestBoundaryPoint:
+    """Support value and attained boundary point of W(A) at one grid angle."""
+
     def test_scalar(self):
-        val, pt = boundary_point(ComplexMatrix([[2 - 1j]]), 0.7)
-        assert pt == 2 - 1j
-        assert val == pytest.approx(np.real((2 - 1j) * np.exp(-0.7j)))
+        z = 2 - 1j
+        res = numerical_range(ComplexMatrix([[z]]), grid=360)
+        theta = grid_angles(360)[40]
+        assert res.attained[40] == z
+        assert res.outer.support[40] == pytest.approx(np.real(z * np.exp(-1j * theta)))
 
     def test_segment_right_end(self):
-        val, pt = boundary_point(ComplexMatrix(np.diag([0.0, 1.0])), 0.0)
-        assert val == pytest.approx(1.0, abs=1e-12)
-        assert pt == pytest.approx(1.0 + 0j, abs=1e-10)
+        res = numerical_range(ComplexMatrix(np.diag([0.0, 1.0])), grid=360)
+        assert res.outer.support[0] == pytest.approx(1.0, abs=1e-12)
+        assert res.attained[0] == pytest.approx(1.0 + 0j, abs=1e-10)
 
     def test_nilpotent_top(self):
-        # at direction pi/2 the rotated Hermitian part has top eigenvalue 1/2
-        # attained by (1, i)/sqrt(2), whose Rayleigh value is i/2
-        val, pt = boundary_point(NILPOTENT, np.pi / 2)
-        assert val == pytest.approx(0.5, abs=1e-12)
-        assert pt == pytest.approx(0.5j, abs=1e-10)
+        # at direction pi/2 (grid index 90 of 360) the rotated Hermitian part
+        # has top eigenvalue 1/2 attained by (1, i)/sqrt(2), whose Rayleigh
+        # value is i/2
+        res = numerical_range(NILPOTENT, grid=360)
+        assert grid_angles(360)[90] == pytest.approx(np.pi / 2)
+        assert res.outer.support[90] == pytest.approx(0.5, abs=1e-12)
+        assert res.attained[90] == pytest.approx(0.5j, abs=1e-10)
 
     def test_support_matches_charpoly_oracle(self, rng):
         a = random_matrix(rng, 5)
-        for theta in (0.0, 0.9, 2.2, 4.4):
-            w = np.exp(-1j * theta)
+        res = numerical_range(a, grid=360)
+        th = grid_angles(360)
+        for j in (0, 52, 126, 252):
+            w = np.exp(-1j * th[j])
             h = (w * a.entries + (w * a.entries).conj().T) / 2
-            val, _ = boundary_point(a, theta)
-            assert val == pytest.approx(charpoly_lambda_max(h), abs=1e-8)
+            assert res.outer.support[j] == pytest.approx(charpoly_lambda_max(h), abs=1e-8)
 
 
 class TestNumericalRange:
@@ -98,7 +103,7 @@ class TestNumericalRange:
     def test_gap_shrinks_under_grid_refinement(self, rng):
         for _ in range(5):
             a = random_matrix(rng, 4)
-            gaps = [numerical_range(a, grid=k, cache=False).gap for k in (64, 128, 256)]
+            gaps = [numerical_range(a, grid=k).gap for k in (64, 128, 256)]
             assert gaps[0] >= gaps[1] - 1e-12
             assert gaps[1] >= gaps[2] - 1e-12
 
@@ -125,24 +130,23 @@ class TestNumericalRange:
             v = rayleigh(a, random_unit_vector(rng, 6))
             assert res.outer.support_excess([v])[0] <= 1e-9
 
-    def test_cache_returns_same_object(self):
-        a = ComplexMatrix([[0, 2], [0, 0]])
+    def test_repeated_call_is_fresh_and_equal(self, rng):
+        # numerical_range keeps no state: memoising is the spec's job
+        a = random_matrix(rng, 4)
         r1 = numerical_range(a, grid=64)
         r2 = numerical_range(a, grid=64)
-        assert r1 is r2
-
-    def test_cache_respects_tolerance(self, rng):
-        a = random_matrix(rng, 4)
-        numerical_range(a, grid=64)
-        with pytest.raises(NonConvergence):
-            numerical_range(a, grid=64, tol=1e-30)
+        assert r1 is not r2
+        assert np.array_equal(r1.outer.support, r2.outer.support)
+        assert np.array_equal(r1.inner.vertices, r2.inner.vertices)
+        assert np.array_equal(r1.attained, r2.attained)
+        assert r1.gap == r2.gap
 
     def test_scale_covariance_at_extreme_scales(self, rng):
         # W(cA) = c W(A): the eigenpair certificate is relative to the scale
         a = random_matrix(rng, 4)
-        base = numerical_range(a, grid=256, cache=False)
+        base = numerical_range(a, grid=256)
         for c in (1e-8, 1e4, 1e8, 1e150):
-            res = numerical_range(ComplexMatrix(c * a.entries), grid=256, cache=False)
+            res = numerical_range(ComplexMatrix(c * a.entries), grid=256)
             assert np.max(np.abs(res.outer.support / c - base.outer.support)) < 1e-12
             assert np.max(np.abs(res.attained / c - base.attained)) < 1e-12
             assert res.gap / c == pytest.approx(base.gap, rel=1e-9)
@@ -158,45 +162,55 @@ class TestNumericalRange:
 
 
 class TestBlockNumericalRange:
+    """The finite law W(A + B) = conv(W(A) u W(B)) for a direct sum, checked
+    against the range of the assembled block diagonal matrix."""
+
+    @staticmethod
+    def check_direct_sum_law(blocks, grid):
+        parts = [numerical_range(b, grid) for b in blocks]
+        big = numerical_range(ComplexMatrix(assemble_block_diagonal(blocks)), grid)
+        # the top eigenvalue of a block diagonal Hermitian part is the largest
+        # of the blocks' top eigenvalues, at every grid angle
+        want = np.max([r.outer.support for r in parts], axis=0)
+        assert np.max(np.abs(big.outer.support - want)) < 1e-9
+        # both inner polygons lie within their sandwich gaps of the same set
+        hull = ConvexRegion.from_points(
+            np.concatenate([r.inner.vertices for r in parts]), grid
+        )
+        assert hausdorff(big.inner, hull) <= big.gap + max(r.gap for r in parts) + 1e-12
+        return big
+
     def test_single_block_matches(self, rng):
+        # adding a scalar block from inside W(A) leaves the range unchanged
         a = random_matrix(rng, 3)
+        z = np.trace(a.entries) / 3
+        big = self.check_direct_sum_law([a, ComplexMatrix([[z]])], grid=180)
         res = numerical_range(a, grid=180)
-        blk = block_numerical_range([a], grid=180)
-        assert hausdorff(blk, res.inner) < 1e-12
+        assert hausdorff(big.inner, res.inner) <= big.gap + res.gap + 1e-12
 
     def test_two_scalar_blocks_make_segment(self):
-        blk = block_numerical_range(
+        big = self.check_direct_sum_law(
             [ComplexMatrix([[0.0]]), ComplexMatrix([[1.0]])], grid=90
         )
-        assert_allclose(np.sort_complex(blk.vertices), [0j, 1 + 0j], atol=1e-12)
+        assert_allclose(np.sort_complex(big.inner.vertices), [0j, 1 + 0j], atol=1e-12)
 
-    def test_empty_raises(self):
-        with pytest.raises(EmptyInput):
-            block_numerical_range([])
-
-    def test_matches_direct_sum_samples(self, rng):
-        # hull of the block ranges == range of the assembled block diagonal
+    def test_matches_direct_sum_samples(self):
         blocks = [NILPOTENT, DIAG23]
-        hull = block_numerical_range(blocks, grid=360)
-        big = assemble_block_diagonal(blocks)
-        samples = rayleigh_samples(big, 50000, seed=5)
-        # samples inside the hull
-        assert hull.support_excess(samples).max() <= 1e-9
-        # random unit vectors spread over all four coordinates, so the far
-        # corners fill in slowly; keep this as a coarse shape check only
-        from blockrange import PointCloud
-
-        assert hausdorff(hull, PointCloud(samples)) < 0.2
+        big = self.check_direct_sum_law(blocks, grid=360)
+        dense = assemble_block_diagonal(blocks)
+        samples = rayleigh_samples(dense, 50000, seed=5)
+        assert big.outer.support_excess(samples).max() <= 1e-9
         # exact witnesses: vectors supported on one block reproduce that
         # block's values inside the assembled operator
         e4 = np.zeros(4)
         e4[3] = 1.0
-        assert np.vdot(e4, big @ e4) == pytest.approx(3.0)
+        assert np.vdot(e4, dense @ e4) == pytest.approx(3.0)
         half = np.array([1.0, 1j, 0, 0]) / np.sqrt(2)
-        assert np.vdot(half, big @ half) == pytest.approx(0.5j)  # top of the disc
+        assert np.vdot(half, dense @ half) == pytest.approx(0.5j)  # top of the disc
 
     def test_direct_sum_of_block_with_itself_is_idempotent(self, rng):
         a = random_matrix(rng, 3)
-        one = block_numerical_range([a], grid=180)
-        two = block_numerical_range([a, a], grid=180)
-        assert hausdorff(one, two) < 1e-12
+        big = self.check_direct_sum_law([a, a], grid=180)
+        res = numerical_range(a, grid=180)
+        assert np.max(np.abs(big.outer.support - res.outer.support)) < 1e-9
+        assert hausdorff(big.inner, res.inner) <= big.gap + res.gap + 1e-12
