@@ -14,6 +14,14 @@ merged with itself turned by pi) and the region-region Hausdorff distance
 only the grid) are built on that lookup.  Polygons that arrive already in
 counterclockwise angular order (attained points, consecutive support
 lines) are certified as their own hull in one vectorised pass.
+
+The intersection of two polygons is a linear clip on the two normal fans:
+each edge line finds, by a binary search vectorised over all edges, where
+it enters and leaves the other polygon, and the pieces of the edges,
+ordered by normal angle, form the boundary of the intersection as a ring
+that certifies itself the same way.  The qhull cutover of the hull stays
+for ``from_points`` of unordered clouds with more than 4096 points, such
+as the tail windows of a vanishing tail.
 """
 
 from __future__ import annotations
@@ -435,83 +443,154 @@ def hausdorff(a, b) -> float:
     return max(to_region, from_region)
 
 
-# -- halfplane intersection --------------------------------------------
+# -- intersection on the normal fans ------------------------------------
 
 
-def _clip_by_halfplane(verts: np.ndarray, d: complex, h: float, tol: float) -> np.ndarray:
-    """Sutherland-Hodgman clip of a CCW polygon by Re(x conj(d)) <= h."""
-    f = np.real(verts * np.conj(d)) - h
-    if np.all(f <= tol):
-        return verts
-    if np.all(f >= -tol):
-        # Entire polygon sits on or outside the line: keep its trace.
-        keep = verts[f <= tol]
-        return keep
-    n = verts.size
-    out: list[complex] = []
-    for i in range(n):
-        j = (i + 1) % n
-        fi, fj = f[i], f[j]
-        if fi <= tol:
-            out.append(verts[i])
-            if fj > tol and fi < fj:
-                t = (h - np.real(verts[i] * np.conj(d))) / (fj - fi)
-                out.append(verts[i] + t * (verts[j] - verts[i]))
-        elif fj <= tol and fj < fi:
-            t = (h - np.real(verts[i] * np.conj(d))) / (fj - fi)
-            out.append(verts[i] + t * (verts[j] - verts[i]))
-    return np.array(out, dtype=np.complex128)
+def _depth(x, s0, s1):
+    """Signed distance of x to the left of the directed line s0 -> s1."""
+    d, w = s1 - s0, x - s0
+    return (d.real * w.imag - d.imag * w.real) / np.abs(d)
 
 
-def _edge_halfplanes(region: ConvexRegion) -> list[tuple[complex, float]]:
-    """Exact halfplane description {x : Re(x conj(d)) <= h} of the polygon.
+def _crossing(p0, p1, q0, q1):
+    """Crossing point of the lines p0p1 and q0q1.  The two one-sided
+    formulas are averaged, so the result is the same to the last bit when
+    the segments are swapped, and both polygons emit the same point."""
 
-    A polygon with at least 3 vertices is the intersection of its edge
-    halfplanes; segments and single points are pinned by two opposing pairs
-    instead (the line plus its end caps, or four axis-aligned bounds).
+    def along(x0, x1, y0, y1):
+        dx, dy, w = x1 - x0, y1 - y0, y0 - x0
+        t = (w.real * dy.imag - w.imag * dy.real) / (dx.real * dy.imag - dx.imag * dy.real)
+        return x0 + t * dx
+
+    return 0.5 * (along(p0, p1, q0, q1) + along(q0, q1, p0, p1))
+
+
+def _bisect(ok, lo, hi):
+    """For each row, an i in [lo, hi) with ok(i) and not ok(i + 1), given
+    ok(lo) and not ok(hi): one vectorised binary search."""
+    while np.any(hi - lo > 1):
+        mid = (lo + hi) // 2
+        below = ok(mid)
+        lo, hi = np.where(below, mid, lo), np.where(below, hi, mid)
+    return lo
+
+
+def _clip_segment(s0: complex, s1: complex, w: np.ndarray, tol: float) -> np.ndarray:
+    """Cyrus-Beck clip of the segment s0 -> s1 (a membership test when
+    s0 == s1) to the region with vertices ``w``.  It is empty only when
+    empty with every boundary line moved outward by ``tol``; its ends are
+    on the lines themselves unless those ends cross over, as where the
+    segment only touches the region.  A segment or point ``w`` is bounded
+    by its line taken both ways and two end caps."""
+    if w.size >= 3:
+        l0, l1 = w, np.roll(w, -1)
+    else:
+        axis = w[-1] - w[0]
+        axis = axis / abs(axis) if axis else 1.0
+        l0 = np.array([w[0], w[-1], w[-1], w[0]])
+        l1 = l0 + axis * np.array([1, -1, 1j, -1j])
+    f0, f1 = _depth(s0, l0, l1), _depth(s1, l0, l1)
+
+    def window(pad):
+        g0, g1 = f0 + pad, f1 + pad
+        t = g0 / np.where(g0 == g1, 1.0, g0 - g1)
+        return max(0.0, t[g0 < 0].max(initial=0.0)), min(1.0, t[g1 < 0].min(initial=1.0))
+
+    lo, hi = window(tol)
+    if lo > hi or np.any((f0 < -tol) & (f1 < -tol)):
+        raise EmptyIntersection("regions do not meet")
+    exact = window(0.0)
+    if exact[0] <= exact[1]:
+        lo, hi = exact
+    return np.array([s0 if lo == 0.0 else s0 + lo * (s1 - s0),
+                     s1 if hi == 1.0 else s0 + hi * (s1 - s0)])
+
+
+def _edge_pieces(p, fan_p, q, fan_q, tol):
+    """The piece of each edge of polygon P that lies in polygon Q.
+
+    For each edge line of P, the vertices of Q supporting its outward and
+    inward normals split the boundary of Q into an arc on which the depth
+    inside the line rises and one on which it falls; a binary search on
+    each, vectorised over all edges, finds where the line, moved inward by
+    ``tol``, leaves and enters Q.  Moving it inward keeps an edge that Q
+    shares with P, whose depths are rounding-level of either sign.  The
+    chord clipped to the edge is the piece.  A piece ends at a vertex,
+    exactly, where a vertex of either polygon lies within ``tol`` of the
+    other's line, and at ``_crossing`` otherwise.
+
+    Returns the pieces' outward normal angles, starts and ends.  Raises
+    EmptyIntersection when Q lies beyond an edge line by more than
+    ``tol``; when Q only touches one, P meets Q inside that line and the
+    one piece returned is the edge clipped by ``_clip_segment``.
     """
-    v = region.vertices
-    if v.size >= 3:
-        edges = np.roll(v, -1) - v
-        # outward normal of a CCW edge: the edge direction rotated by -90deg
-        normals = edges / np.abs(edges) * (-1j)
-        return [
-            (complex(d), float(np.real(p * np.conj(d)))) for d, p in zip(normals, v)
-        ]
-    if v.size == 2:
-        axis = (v[1] - v[0]) / abs(v[1] - v[0])
-        normal = axis * 1j
-        out = []
-        for d in (normal, -normal, axis, -axis):
-            out.append((complex(d), float(np.max(np.real(v * np.conj(d))))))
-        return out
-    p = complex(v[0])
-    return [(1 + 0j, p.real), (-1 + 0j, -p.real), (1j, p.imag), (-1j, -p.imag)]
+    m = q.size
+    edges, normals = fan_p
+    a0, a1 = p[edges], p[(edges + 1) % p.size]
+    lo = _supporting(fan_q, normals)  # least depth inside each edge line
+    hi = _supporting(fan_q, normals + np.pi)  # greatest depth
+    top = _depth(q[hi], a0, a1)
+    k = int(np.argmin(top))
+    if top[k] < -tol:
+        raise EmptyIntersection("regions do not meet")
+    if top[k] <= tol:
+        ends = _clip_segment(a0[k], a1[k], q, tol)
+        return normals[k : k + 1], ends[:1], ends[1:]
+    cut = _depth(q[lo], a0, a1) < tol
+    a0, a1, lo, hi, normals = a0[cut], a1[cut], lo[cut], hi[cut], normals[cut]
+
+    def shallow(j):
+        return _depth(q[j % m], a0, a1) <= tol
+
+    # the depth rises from lo to hi counterclockwise and falls back to lo
+    out = _bisect(shallow, lo, np.where(hi < lo, hi + m, hi)) % m
+    into = _bisect(lambda j: ~shallow(j), hi, np.where(lo < hi, lo + m, lo)) % m
+    o0, o1, i0, i1 = q[out], q[(out + 1) % m], q[into], q[(into + 1) % m]
+    leave = np.where(_depth(o0, a0, a1) >= -tol, o0, _crossing(a0, a1, o0, o1))
+    enter = np.where(_depth(i1, a0, a1) >= -tol, i1, _crossing(a0, a1, i0, i1))
+    # depths of the edge's ends inside the lines of Q it enters and leaves by
+    start0, start1 = _depth(a0, i0, i1), _depth(a1, i0, i1)
+    end0, end1 = _depth(a0, o0, o1), _depth(a1, o0, o1)
+    start = np.where(start0 >= -tol, a0, np.where(start1 <= tol, a1, enter))
+    end = np.where(end1 >= -tol, a1, np.where(end0 <= tol, a0, leave))
+    keep = (start1 >= -tol) & (end0 >= -tol)
+    return normals[keep], start[keep], end[keep]
 
 
 def intersect_regions(a: ConvexRegion, b: ConvexRegion) -> ConvexRegion:
     """Intersection of two regions sharing the same angle grid.
 
     The pointwise minimum of the two support vectors is generally *not* the
-    support function of the intersection, and clipping against the sampled
-    support grid would circumscribe ``b``; instead ``a``'s polygon is
-    clipped against ``b``'s exact edge halfplanes, and the support values
-    are recomputed from the surviving polygon.
+    support function of the intersection, so the polygons themselves are
+    intersected, in time linear in their sizes up to a logarithm: each
+    edge of either polygon is clipped to the other by ``_edge_pieces``, and
+    ordering the pieces by their normal angles (the two normal fans merged)
+    walks the boundary of the intersection counterclockwise.  Of two equal
+    pieces from a shared collinear edge one is kept; the ring is then
+    certified by ``_ordered_hull``, or else hulled.  A point or segment
+    region is one ``_clip_segment`` call.  Boundary lines are moved by
+    1e-12 times the largest vertex modulus, so the result scales with the
+    regions.  The support values are recomputed from the polygon.
     """
     k = a.grid_size
     if b.grid_size != k:
         raise ValueError(f"grid mismatch: {k} vs {b.grid_size}")
-    scale = max(a.diameter, b.diameter, np.abs(a.vertices).max(), np.abs(b.vertices).max(), 1.0)
-    tol = 1e-12 * scale
-    verts = a.vertices
-    for d, h in _edge_halfplanes(b):
-        verts = _clip_by_halfplane(verts, d, h, tol)
-        if verts.size == 0:
-            raise EmptyIntersection("regions do not meet")
-    result = _hull_vertices(verts)
-    if result.size == 0:
-        raise EmptyIntersection("regions do not meet")
-    return ConvexRegion._build(result, k)
+    va, vb = a.vertices, b.vertices
+    tol = 1e-12 * max(np.abs(va).max(), np.abs(vb).max())
+    with np.errstate(divide="ignore", invalid="ignore"):
+        if min(va.size, vb.size) < 3:
+            s, w = (va, vb) if va.size <= vb.size else (vb, va)
+            ring = _clip_segment(s[0], s[-1], w, tol)
+        else:
+            fa, fb = _fan(va), _fan(vb)
+            pieces = [_edge_pieces(va, fa, vb, fb, tol), _edge_pieces(vb, fb, va, fa, tol)]
+            normals, start, end = (np.concatenate(x) for x in zip(*pieces))
+            order = np.argsort(np.mod(normals, 2.0 * np.pi), kind="stable")
+            start, end = start[order], end[order]
+            twin = (start == np.roll(start, 1)) & (end == np.roll(end, 1))
+            twin[0] &= not twin[1:].all()  # a lone piece is its own twin
+            ring = np.column_stack((start[~twin], end[~twin])).ravel()
+    return ConvexRegion._build(_hull_vertices(ring), k)
 
 
 # -- extreme points and nesting ----------------------------------------

@@ -223,6 +223,8 @@ def regroup(
         raise ValidationError(f"eps must be finite and positive, got {eps}")
     if depth < 1:
         raise ValidationError(f"depth must be at least 1, got {depth}")
+    if scan_cap < 1:
+        raise ValidationError(f"scan cap must be at least 1, got {scan_cap}")
     ext = extreme_points(we.region).points
     scale = max(float(np.abs(ext).max()), 1e-12)
     if float(np.min(np.abs(ext))) <= 1e-9 * scale:

@@ -3,7 +3,9 @@
 The oracles deliberately avoid the library's own algorithms: the hull
 oracle is gift wrapping (the library uses a monotone chain / qhull), the
 support, diameter and Hausdorff oracles scan every vertex, vertex pair and
-vertex-edge pair (the library walks normal fans), the eigenvalue oracle
+vertex-edge pair (the library walks normal fans), the intersection oracle
+tries every vertex against every edge and every pair of edges (the library
+clips each edge by a binary search on the other polygon), the eigenvalue oracle
 bisects the sign of the characteristic determinant (the library calls
 LAPACK through ``numpy.linalg.eigh``), and range membership is checked by
 direct Monte-Carlo Rayleigh sampling.
@@ -116,6 +118,62 @@ def brute_hausdorff(points_a, points_b) -> float:
     a_to_b = max(_polygon_distance(p, hb) for p in ha)
     b_to_a = max(_polygon_distance(p, ha) for p in hb)
     return max(a_to_b, b_to_a)
+
+
+def _boundary(corners: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Start and end points of the edges of a CCW polygon, a segment (one
+    edge) or a point (none)."""
+    if corners.size == 1:
+        return corners[:0], corners[:0]
+    if corners.size == 2:
+        return corners[:1], corners[1:]
+    return corners, np.roll(corners, -1)
+
+
+def _cross_of(u: np.ndarray, v: np.ndarray) -> np.ndarray:
+    return u.real * v.imag - u.imag * v.real
+
+
+def _inside(p: complex, corners: np.ndarray) -> bool:
+    """Exact membership of ``p`` in the convex hull of the CCW ``corners``."""
+    if corners.size == 1:
+        return bool(p == corners[0])
+    s0, s1 = _boundary(corners)
+    side = _cross_of(s1 - s0, p - s0)
+    if corners.size == 2:
+        a, b = corners
+        return bool(side[0] == 0
+                    and min(a.real, b.real) <= p.real <= max(a.real, b.real)
+                    and min(a.imag, b.imag) <= p.imag <= max(a.imag, b.imag))
+    return bool(np.all(side >= 0))
+
+
+def brute_intersection(corners_a, corners_b) -> np.ndarray:
+    """Corners of the intersection of two convex polygons given by their
+    CCW corners, CCW; empty when they do not meet.
+
+    The corners of the intersection are among the corners of each polygon
+    that lie in the other, tested by exact edge cross products, and the
+    crossings of an edge of one with an edge of the other; every pair of
+    edges is tried, and the candidates are gift wrapped.  Points and
+    segments are polygons with no edge or one.
+    """
+    ha = np.asarray(corners_a, dtype=np.complex128).ravel()
+    hb = np.asarray(corners_b, dtype=np.complex128).ravel()
+    cand = [p for p in ha if _inside(p, hb)] + [p for p in hb if _inside(p, ha)]
+    b0, b1 = _boundary(hb)
+    db = b1 - b0
+    for a0, a1 in zip(*_boundary(ha)):
+        da = a1 - a0
+        den = _cross_of(da, db)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            t = _cross_of(b0 - a0, db) / den
+            s = _cross_of(b0 - a0, da) / den
+        hit = (den != 0) & (t >= 0) & (t <= 1) & (s >= 0) & (s <= 1)
+        cand.extend(a0 + t[hit] * da)
+    if not cand:
+        return np.zeros(0, dtype=np.complex128)
+    return gift_wrap_hull(np.array(cand))
 
 
 def charpoly_lambda_max(h: np.ndarray, iters: int = 100) -> float:

@@ -278,6 +278,8 @@ NAN_SHIFT = {"tail": {"kind": "periodic", "cycle": [[[[1, 0]]]]}, "shift": [floa
         (TWO_MATRIX, ["essential", "--eps", "nan"], 2),
         (TWO_MATRIX, ["range", "--block", "0"], 2),
         (TWO_MATRIX, ["decompose", "--groups", "0"], 2),
+        (TWO_MATRIX, ["decompose", "--scan-cap", "0"], 2),
+        (TWO_MATRIX, ["verify", "--scan-cap", "-1"], 2),
         (TWO_MATRIX, ["oracle", "--samples", "0"], 2),
         (TWO_MATRIX, ["oracle", "--tail-start", "0"], 2),
         (NAN_SHIFT, ["essential"], 2),
@@ -286,6 +288,7 @@ NAN_SHIFT = {"tail": {"kind": "periodic", "cycle": [[[[1, 0]]]]}, "shift": [floa
         (_vanishing_doc(0.5, 0.0078), ["essential", "--k-cap", str(10**400)], 3),
     ],
     ids=["angles_2", "eps_0", "eps_negative", "eps_nan", "block_0", "groups_0",
+         "scan_cap_0", "scan_cap_negative",
          "samples_0", "tail_start_0", "nan_shift", "nan_decay_c", "tiny_decay_p",
          "slow_decay_huge_k_cap"],
 )

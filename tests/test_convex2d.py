@@ -22,7 +22,13 @@ from blockrange import (
 )
 from blockrange.convex2d import _chain_hull, _hull_vertices, _ordered_hull
 
-from helpers import brute_diameter, brute_hausdorff, brute_support, gift_wrap_hull
+from helpers import (
+    brute_diameter,
+    brute_hausdorff,
+    brute_intersection,
+    brute_support,
+    gift_wrap_hull,
+)
 
 # reasonable planar coordinates, no overflow surprises
 coord = st.floats(min_value=-100, max_value=100, allow_nan=False, allow_infinity=False)
@@ -325,6 +331,105 @@ class TestIntersect:
         b = square(1, 3)
         out = intersect_regions(a, b)
         assert np.all(out.support <= np.minimum(a.support, b.support) + 1e-9)
+
+    @staticmethod
+    def assert_matches_brute(ca, cb, rel=1e-12):
+        """Both argument orders against the vertex/edge-scan oracle; ``ca``
+        and ``cb`` are CCW corners."""
+        ca, cb = np.asarray(ca, dtype=complex), np.asarray(cb, dtype=complex)
+        a, b = ConvexRegion.from_points(ca), ConvexRegion.from_points(cb)
+        want = brute_intersection(ca, cb)
+        for x, y in ((a, b), (b, a)):
+            if want.size == 0:
+                with pytest.raises(EmptyIntersection):
+                    intersect_regions(x, y)
+                continue
+            got = intersect_regions(x, y)
+            scale = max(np.abs(ca).max(), np.abs(cb).max())
+            assert hausdorff(got, ConvexRegion.from_points(want)) <= rel * scale
+
+    def test_dense_angle_subsets_against_brute(self, rng):
+        # hulls of overlapping sets of rational angles, as the tail windows
+        # of a dense diagonal: exactly shared vertices and collinear edges
+        def window(q_lo, q_hi, shift=0.3 - 0.2j):
+            fr = np.unique(np.concatenate([np.arange(q) / q for q in range(q_lo, q_hi + 1)]))
+            return np.exp(2j * np.pi * fr) - shift
+
+        for lo_a, hi_a, lo_b, hi_b in [(3, 30, 10, 40), (1, 25, 20, 45), (12, 45, 13, 44),
+                                       (5, 20, 5, 20), (2, 9, 30, 45)]:
+            self.assert_matches_brute(window(lo_a, hi_a), window(lo_b, hi_b))
+        circle = np.exp(2j * np.pi * np.arange(512) / 512)
+        for _ in range(4):
+            self.assert_matches_brute(circle[rng.random(512) < 0.7],
+                                      circle[rng.random(512) < 0.7])
+
+    def test_nested_identical_and_touching_against_brute(self, rng):
+        sq = np.array([0, 1, 1 + 1j, 1j])
+        poly = gift_wrap_hull(rng.standard_normal(30) + 1j * rng.standard_normal(30))
+        cases = [
+            (sq, 0.25 + 0.5 * sq),              # nested
+            (poly, 0.5 * poly + 0.1),           # nested
+            (poly, poly),                       # identical
+            (sq, 2 * sq),                       # nested, sharing two edges
+            (sq, sq + 1 + 1j),                  # touching at a vertex
+            (sq, sq + 1),                       # touching along a whole edge
+            (sq, sq + 1 + 0.5j),                # touching along half an edge
+            (sq, [1 + 0.5j, 2, 2 + 1j]),        # a vertex touching an edge
+        ]
+        for ca, cb in cases:
+            self.assert_matches_brute(ca, cb)
+
+    def test_points_and_segments_against_brute(self):
+        sq = np.array([0, 1, 1 + 1j, 1j])
+        cases = [
+            (sq, [0.25 + 0.5j]),                # point inside
+            (sq, [0.5]),                        # point on an edge
+            (sq, [1 + 1j]),                     # point at a vertex
+            (sq, [2 + 2j]),                     # point outside
+            (sq, [-1 + 0.5j, 2 + 0.5j]),        # segment across
+            (sq, [0.25 + 0.25j, 0.5 + 0.75j]),  # segment inside
+            (sq, [-1, 2]),                      # segment along an edge
+            (sq, [1 + 1j, 2 + 3j]),             # segment touching a vertex
+            (sq, [2, 3 + 1j]),                  # segment outside
+            ([0, 2 + 2j], [2, 2j]),             # crossing segments
+            ([0, 2], [1, 3]),                   # collinear, overlapping
+            ([0, 2], [3, 4]),                   # collinear, apart
+            ([0, 2 + 2j], [1 + 1j]),            # point on a segment
+            ([0, 2 + 2j], [1 + 2j]),            # point off a segment
+            ([1 + 1j], [1 + 1j]),               # equal points
+            ([1 + 1j], [1 + 2j]),               # distinct points
+        ]
+        for ca, cb in cases:
+            self.assert_matches_brute(ca, cb)
+
+    def test_disjoint_pairs_raise(self, rng):
+        poly = gift_wrap_hull(rng.standard_normal(40) + 1j * rng.standard_normal(40))
+        circle = np.exp(2j * np.pi * np.arange(300) / 300)
+        for ca, cb in [(poly, poly + 20), (circle, circle + 2.001),
+                       (circle, 1.01j * circle + 2.02)]:
+            assert brute_intersection(ca, cb).size == 0
+            self.assert_matches_brute(ca, cb)
+
+    def test_large_polygons_against_brute(self):
+        circle = np.exp(2j * np.pi * np.arange(4096) / 4096)
+        self.assert_matches_brute(circle, np.exp(0.3j) * circle + 1.99)
+        self.assert_matches_brute(circle, [0, 1.05, 0.5 + 0.5j])
+
+    @pytest.mark.parametrize("scale", [1e-12, 1e-8, 1.0, 1e8])
+    def test_tolerance_scales_with_the_regions(self, scale):
+        tri = np.array([0, 1, 0.4 + 0.9j])
+
+        def meet(shift, s):
+            return intersect_regions(ConvexRegion.from_points(s * tri),
+                                     ConvexRegion.from_points(s * (tri + shift)))
+
+        unit = meet(0.5, 1.0)
+        got = meet(0.5, scale)
+        assert hausdorff(got, ConvexRegion.from_points(scale * unit.vertices)) <= 1e-12 * scale
+        with pytest.raises(EmptyIntersection):
+            meet(1.5, 1.0)
+        with pytest.raises(EmptyIntersection):
+            meet(1.5, scale)
 
 
 class TestExtremePoints:
