@@ -47,6 +47,7 @@ from .numrange import numerical_range
 from .oracle import inner_approximate
 from .regroup import (
     choose_translation,
+    group_region,
     identity_decomposition,
     regroup,
     verify_conv_free,
@@ -350,7 +351,10 @@ def _run_decomposition(spec: BlockOperatorSpec, args):
 def _cmd_decompose(args) -> int:
     spec = _load_spec(args)
     ess, choice, tspec, tess, decomp = _run_decomposition(spec, args)
-    gap = verify_conv_free(tspec, decomp, tess, grid=args.angles)
+    # the late groups are hulled once, for the gap and for the SVG
+    late = range(max(1, decomp.group_count // 2), decomp.group_count + 1)
+    groups = [group_region(tspec, decomp, m, args.angles) for m in late]
+    gap = verify_conv_free(tspec, decomp, tess, late.start, args.angles, groups=groups)
     print(f"translation z = {choice.z.real:.6g}{choice.z.imag:+.6g}i "
           f"({choice.reason}, angle margin {choice.angular_margin:.3e})")
     print(f"{decomp.group_count} groups, last boundary {decomp.boundaries[-1]}")
@@ -375,10 +379,8 @@ def _cmd_decompose(args) -> int:
     if args.svg:
         scene = Scene()
         scene.add_polygon(tess.region.vertices, "fill")
-        for m in range(max(1, decomp.group_count // 2), decomp.group_count + 1):
-            from .regroup import group_region
-
-            scene.add_polygon(group_region(tspec, decomp, m, args.angles).vertices, "accent")
+        for region in groups:
+            scene.add_polygon(region.vertices, "accent")
         _write_text(args.svg, scene.render())
     return EXIT_OK
 

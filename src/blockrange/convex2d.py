@@ -19,9 +19,15 @@ The intersection of two polygons is a linear clip on the two normal fans:
 each edge line finds, by a binary search vectorised over all edges, where
 it enters and leaves the other polygon, and the pieces of the edges,
 ordered by normal angle, form the boundary of the intersection as a ring
-that certifies itself the same way.  The qhull cutover of the hull stays
-for ``from_points`` of unordered clouds with more than 4096 points, such
-as the tail windows of a vanishing tail.
+that certifies itself the same way.
+
+Any other point set takes one vectorised hull.  The points near the
+boundary survive a filter by the polygon of ten extreme points (Akl and
+Toussaint 1978) and an angular scan about its centroid, and coincident
+survivors merge.  Graham's scan without the stack (Graham
+1972), run on Andrew's lexicographic ring, then deletes in each numpy
+pass the vertices that do not turn strictly left.  The ring it leaves
+certifies itself.
 """
 
 from __future__ import annotations
@@ -29,13 +35,11 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.spatial import ConvexHull as _QHull
-from scipy.spatial import QhullError, cKDTree
+from scipy.spatial import cKDTree
 
 from .errors import EmptyInput, EmptyIntersection, NotNested, ValidationError
 
 DEFAULT_GRID = 360
-_QHULL_CUTOVER = 4096
 _CHUNK = 4096
 
 
@@ -46,13 +50,13 @@ def grid_angles(k: int) -> np.ndarray:
     return 2.0 * np.pi * np.arange(k) / k
 
 
-def _cross(o: complex, a: complex, b: complex) -> float:
-    return (a.real - o.real) * (b.imag - o.imag) - (a.imag - o.imag) * (b.real - o.real)
-
-
 def _snap(pts: np.ndarray) -> np.ndarray:
-    """Round onto a grid of ~1e-14 relative spacing; equal snaps coincide."""
-    eps = 1e-14 * max(1.0, float(np.abs(pts).max()))
+    """Round onto a grid of 1e-14 times the largest modulus; equal snaps
+    coincide.  The grid scales with the points, so W(cA) = c W(A) keeps its
+    vertices at any c; points that are all zero come back as they are."""
+    eps = 1e-14 * float(np.abs(pts).max())
+    if not eps > 0.0:
+        return pts
     return np.round(pts.real / eps) * eps + 1j * (np.round(pts.imag / eps) * eps)
 
 
@@ -62,76 +66,156 @@ def _merge_coincident(pts: np.ndarray) -> np.ndarray:
     return np.unique(pts[idx])
 
 
-def _chain_hull(points: np.ndarray) -> np.ndarray:
-    """Monotone-chain hull of a complex point array, counterclockwise.
+def _turns(o: np.ndarray, v: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Cross product of v - o and b - o: positive where o -> v -> b turns left."""
+    return (v.real - o.real) * (b.imag - o.imag) - (v.imag - o.imag) * (b.real - o.real)
 
-    Exactly collinear interior points are dropped; the pop test is strict
-    (no tolerance) because for nearly collinear clouds the lexicographic
-    sweep order need not match the geometric order along the line, and a
-    toleranced pop can then discard a true endpoint.
-    """
-    pts = _merge_coincident(np.unique(np.asarray(points, dtype=np.complex128).ravel()))
-    if pts.size <= 2:
-        return pts
 
-    def half(seq):
-        out: list[complex] = []
-        for p in seq:
-            while len(out) >= 2 and _cross(out[-2], out[-1], p) <= 0.0:
-                out.pop()
-            out.append(p)
-        return out
-
-    lower = half(pts)
-    upper = half(pts[::-1])
-    hull = np.array(lower[:-1] + upper[:-1], dtype=np.complex128)
-    return hull if hull.size else pts[:1]
+def _neighbours(ring: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Each vertex's predecessor and successor on the closed ``ring``."""
+    return np.concatenate((ring[-1:], ring[:-1])), np.concatenate((ring[1:], ring[:1]))
 
 
 def _ordered_hull(pts: np.ndarray) -> np.ndarray | None:
     """``pts`` itself, if it is already a strictly convex CCW polygon.
 
     Only consecutive exact repeats are dropped.  The order is accepted when
-    every turn is strictly left by the chain's own cross product, with no
-    tolerance, the turns add up to one full turn (a twice-wound polygon
-    fails), and no two points would be merged as coincident; the polygon
-    is then rotated to start at its lexicographically smallest point, so
-    it equals the chain's output.  Returns None otherwise.
+    every turn is strictly left by ``_turns``, with no tolerance, the turns
+    add up to one full turn (a twice-wound polygon fails), and no two
+    points would be merged as coincident; the polygon is then rotated to
+    start at its lexicographically smallest point, the canonical order of
+    every hull.  Returns None otherwise.
     """
     if pts.size < 3:
         return None
     v = pts[np.concatenate(([pts[0] != pts[-1]], pts[1:] != pts[:-1]))]
     if v.size < 3:
         return None
-    o, b = np.concatenate((v[-1:], v[:-1])), np.concatenate((v[1:], v[:1]))
-    cross = (v.real - o.real) * (b.imag - o.imag) - (v.imag - o.imag) * (b.real - o.real)
-    if not np.all(cross > 0.0):
+    o, b = _neighbours(v)
+    if not np.all(_turns(o, v, b) > 0.0):
         return None
     if np.angle((b - v) * (v - o).conj()).sum() > 3.0 * np.pi:
         return None
     snapped = np.sort(_snap(v))
     if np.any(snapped[1:] == snapped[:-1]):
         return None
-    # numpy orders complex numbers lexicographically, as the chain's sort
+    # numpy orders complex numbers lexicographically
     k = int(np.argmin(v))
     return np.concatenate((v[k:], v[:k]))
 
 
+def _drop_reflex(ring: np.ndarray, fixed: np.ndarray | None = None) -> np.ndarray:
+    """Graham's scan without the stack: delete, in vectorised passes, the
+    vertices of the closed ``ring`` that do not turn strictly left, except
+    those marked ``fixed``, until every vertex turns left.  In an order
+    that walks once around the hull (Andrew's lower then upper chain), an
+    extreme point always turns strictly left, so no pass deletes one.
+
+    A pass deletes every other vertex of each run of such vertices, so no
+    two neighbours go together and each goes on the evidence of two that
+    stay: of two nearly coincident corners, whose turns rounding decides,
+    one is kept.  A pass that would leave fewer than three is not made.
+    """
+    fixed = np.zeros(ring.size, dtype=bool) if fixed is None else fixed
+    while ring.size >= 3:
+        prev, nxt = _neighbours(ring)
+        bad = ~fixed & ~(_turns(prev, ring, nxt) > 0.0)
+        if not bad.any():
+            break
+        # offset of each vertex from the start of its run of bad ones
+        idx = np.arange(ring.size)
+        first = bad & ~_neighbours(bad)[0]
+        run = np.maximum.accumulate(np.where(first, idx, -1))
+        if first.any():
+            run[run < 0] = idx[first][-1] - ring.size  # the run that wraps
+        keep = ~bad | ((idx - run) % 2 == 1)
+        if np.count_nonzero(keep) < 3:
+            break
+        ring, fixed = ring[keep], fixed[keep]
+    return ring
+
+
+def _prune(pts: np.ndarray) -> np.ndarray:
+    """The points near the hull's boundary, and a few more.
+
+    Near means within a margin of eight cells of the coincidence grid.  The
+    extremes in eight fixed directions, with the points farthest either
+    side of the line through the extremes in directions 0 and pi (so that
+    a thin cloud spans one too), span a polygon inside the hull; the
+    points more than the margin inside all its edge lines go (Akl and
+    Toussaint 1978).  The rest are sorted by angle about the polygon's
+    vertex centroid c and scanned in passes like ``_drop_reflex``: a point
+    goes when it lies more than the margin inside the triangle of c and
+    its two neighbours.  The hull holds that triangle whatever the order,
+    so no point near the boundary goes, and coincident points merge
+    afterwards as they would in the whole set.
+    """
+    margin = 8e-14 * float(np.abs(pts).max())
+    xy = np.stack((pts.real, pts.imag))
+    t = 0.25 * np.pi * np.arange(8)
+    ext = pts[np.argmax(np.stack((np.cos(t), np.sin(t)), axis=1) @ xy, axis=1)]
+    side = _turns(ext[0], ext[4], pts)
+    ext = np.unique(np.append(ext, pts[[np.argmin(side), np.argmax(side)]]))
+    if ext.size < 3:
+        return pts
+    centre = ext.mean()
+    ext = ext[np.argsort(np.angle(ext - centre))]
+    nxt = _neighbours(ext)[1]
+    length = np.abs(nxt - ext)
+    # depth of every point inside every edge line, by the inward unit normals
+    normal = np.stack(((ext.imag - nxt.imag) / length, (nxt.real - ext.real) / length), axis=1)
+    depth = normal @ xy - (normal[:, 0] * ext.real + normal[:, 1] * ext.imag)[:, None]
+    pts = pts[~np.all(depth > margin, axis=0)]
+    ring = pts[np.argsort(np.angle(pts - centre), kind="stable")]
+    while ring.size >= 3:
+        prev, nxt = _neighbours(ring)
+        # more than the margin inside all three edge lines of the triangle
+        deep = (
+            (_turns(centre, prev, ring) > margin * np.abs(prev - centre))
+            & (_turns(prev, nxt, ring) > margin * np.abs(nxt - prev))
+            & (_turns(nxt, centre, ring) > margin * np.abs(centre - nxt))
+        )
+        if not deep.any():
+            break
+        ring = ring[~deep]
+    return ring
+
+
 def _hull_vertices(points: np.ndarray) -> np.ndarray:
+    """Hull vertices, counterclockwise from the lexicographically smallest.
+
+    Angle-ordered input certifies itself (``_ordered_hull``).  Otherwise
+    ``_prune`` keeps the points near the boundary, coincident survivors
+    merge, and ``_drop_reflex`` scans Andrew's ring: the smallest point a,
+    the points right of a -> b in increasing order, the largest point b,
+    the points left of it in decreasing order.  The ring needs no interior
+    point, so thin and collinear input take the same path; exactly
+    collinear input (every turn zero) comes out as the segment [a, b].
+    Points inside a straight edge are dropped, and the result certifies
+    itself by ``_ordered_hull``.
+    """
     pts = np.asarray(points, dtype=np.complex128).ravel()
     ordered = _ordered_hull(pts)
     if ordered is not None:
         return ordered
-    if pts.size > _QHULL_CUTOVER:
-        xy = np.column_stack([pts.real, pts.imag])
-        try:
-            qh = _QHull(xy)
-            # Re-run the chain on qhull's candidate corners: this restores
-            # the canonical ordering/dedup rules and drops collinear output.
-            return _chain_hull(pts[qh.vertices])
-        except QhullError:
-            pass  # flat input; the chain handles it
-    return _chain_hull(pts)
+    pts = _merge_coincident(np.unique(_prune(pts)))
+    if pts.size <= 2:
+        return pts
+    a, b = pts[0], pts[-1]
+    side = _turns(a, b, pts)
+    lower, upper = pts[side < 0], pts[side > 0][::-1]
+    ring = np.concatenate(([a], lower, [b], upper))
+    ends = np.isin(np.arange(ring.size), (0, lower.size + 1))
+    # Andrew's two chains keep their ends; rounding can leave a sliver
+    # that turns right at a or b, which the closed scan then drops
+    ring = _drop_reflex(_drop_reflex(ring, fixed=ends))
+    hull = _ordered_hull(ring)
+    if hull is not None:
+        return hull
+    # Merging a vertex into a smaller one can lower the largest modulus,
+    # and with it the coincidence grid: merge again on the ring's own grid.
+    merged = _merge_coincident(np.unique(ring))
+    return _hull_vertices(merged) if merged.size < ring.size else np.array([a, b])
 
 
 # -- normal fans --------------------------------------------------------

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .blockop import BlockOperatorSpec
+from .blockop import BlockOperatorSpec, _attained_vertices
 from .convex2d import DEFAULT_GRID, ConvexRegion, extreme_points, hausdorff
 from .errors import DegenerateGeometry, ScanExhausted, ValidationError
 from .essrange import EssentialRangeResult
@@ -258,18 +258,15 @@ def group_region(
     grid: int = DEFAULT_GRID,
     tol: float = DEFAULT_EIG_TOL,
 ) -> ConvexRegion:
-    """Numerical range of group ``m`` viewed as one finite block diagonal."""
+    """Numerical range of group ``m`` viewed as one finite block diagonal:
+    the hull of its blocks' ranges, each distinct block's inner polygon
+    taken once, and a scalar tail's values."""
     lo, hi = decomp.group_range(m)
-    p = spec.prefix_len
-    pts = []
-    n = lo
-    while n <= hi:
-        if n > p and spec.tail_is_scalar:
-            vals = spec.window_values(n, hi - n + 1)
-            pts.append(vals)
-            break
-        pts.append(spec.range_of(spec.block(n), grid, tol).inner.vertices)
-        n += 1
+    last = min(hi, spec.prefix_len) if spec.tail_is_scalar else hi
+    pts, _ = _attained_vertices(spec, range(lo, last + 1), grid, tol)
+    if last < hi:
+        start = max(lo, last + 1)
+        pts.append(spec.window_values(start, hi - start + 1))
     return ConvexRegion.from_points(np.concatenate(pts), grid)
 
 
@@ -280,18 +277,22 @@ def verify_conv_free(
     from_level: int | None = None,
     grid: int = DEFAULT_GRID,
     tol: float = DEFAULT_EIG_TOL,
+    groups: list[ConvexRegion] | None = None,
 ) -> float:
     """Worst Hausdorff distance between late group ranges and the target.
 
     Both are convex polygons, so ``hausdorff`` gives each distance exactly.
-    ``from_level`` defaults to half the group count.
+    ``from_level`` defaults to half the group count.  ``groups`` may pass
+    in the ranges of groups ``from_level`` to the last, as ``group_region``
+    builds them, so that a caller that also draws them hulls each once.
     """
     region = we.region if isinstance(we, EssentialRangeResult) else we
     g = decomp.group_count
     k0 = from_level if from_level is not None else max(1, g // 2)
     if not 1 <= k0 <= g:
         raise ValueError(f"from_level {k0} out of range 1..{g}")
-    worst = 0.0
-    for m in range(k0, g + 1):
-        worst = max(worst, hausdorff(region, group_region(spec, decomp, m, grid, tol)))
-    return worst
+    if groups is None:
+        groups = [group_region(spec, decomp, m, grid, tol) for m in range(k0, g + 1)]
+    elif len(groups) != g - k0 + 1:
+        raise ValueError(f"expected {g - k0 + 1} group ranges, got {len(groups)}")
+    return max(hausdorff(region, r) for r in groups)

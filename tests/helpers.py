@@ -1,13 +1,14 @@
 """Shared builders and independent oracles for the test suite.
 
 The oracles deliberately avoid the library's own algorithms: the hull
-oracle is gift wrapping (the library uses a monotone chain / qhull), the
-support, diameter and Hausdorff oracles scan every vertex, vertex pair and
-vertex-edge pair (the library walks normal fans), the intersection oracle
-tries every vertex against every edge and every pair of edges (the library
-clips each edge by a binary search on the other polygon), the eigenvalue oracle
-bisects the sign of the characteristic determinant (the library calls
-LAPACK through ``numpy.linalg.eigh``), and range membership is checked by
+oracle is gift wrapping (the library deletes reflex vertices of an ordered
+ring in vectorised passes), the support, diameter and Hausdorff oracles
+scan every vertex, vertex pair and vertex-edge pair (the library walks
+normal fans), the intersection oracle tries every vertex against every
+edge and every pair of edges (the library clips each edge by a binary
+search on the other polygon), the eigenvalue oracle bisects the sign of
+the characteristic determinant (the library calls LAPACK through
+``numpy.linalg.eigh``), and range membership is checked by
 direct Monte-Carlo Rayleigh sampling.
 """
 
@@ -47,7 +48,12 @@ def random_unit_vector(rng: np.random.Generator, n: int) -> np.ndarray:
 
 
 def gift_wrap_hull(points) -> np.ndarray:
-    """Gift-wrapping convex hull, CCW, corners only."""
+    """Gift-wrapping convex hull, CCW, corners only.
+
+    Each step wraps one corner, so a hull closes within ``len(points)``
+    steps; on nearly collinear points rounding can keep the wrap from
+    returning to its start, and after ``len(points) + 1`` steps it raises.
+    """
     pts = np.unique(np.asarray(points, dtype=np.complex128).ravel())
     if pts.size <= 2:
         return pts
@@ -58,7 +64,7 @@ def gift_wrap_hull(points) -> np.ndarray:
     start = min(pts, key=lambda z: (z.imag, z.real))
     hull = [start]
     cur = start
-    while True:
+    for _ in range(pts.size + 1):
         cand = pts[0] if pts[0] != cur else pts[1]
         for p in pts:
             if p == cur:
@@ -70,6 +76,8 @@ def gift_wrap_hull(points) -> np.ndarray:
             break
         hull.append(cand)
         cur = cand
+    else:
+        raise RuntimeError(f"gift wrapping did not close within {pts.size + 1} steps")
     arr = np.array(hull)
     # rotate so the lexicographically smallest vertex comes first (matches
     # the library's canonical ordering)

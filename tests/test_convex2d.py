@@ -20,7 +20,7 @@ from blockrange import (
     nested_conv_exchange,
     numerical_range,
 )
-from blockrange.convex2d import _chain_hull, _hull_vertices, _ordered_hull
+from blockrange.convex2d import _hull_vertices, _ordered_hull
 
 from helpers import (
     brute_diameter,
@@ -71,21 +71,17 @@ class TestHull:
     def test_matches_gift_wrapping_oracle(self, rng):
         for _ in range(30):
             pts = rng.standard_normal(50) + 1j * rng.standard_normal(50)
-            got = np.sort_complex(_chain_hull(pts))
-            want = np.sort_complex(gift_wrap_hull(pts))
-            assert_allclose(got, want, atol=1e-12)
+            assert np.array_equal(_hull_vertices(pts), gift_wrap_hull(pts))
 
-    def test_large_input_qhull_route_matches_chain(self, rng):
+    def test_large_input_matches_gift_wrapping(self, rng):
         pts = rng.standard_normal(6000) + 1j * rng.standard_normal(6000)
-        via_qhull = np.sort_complex(_hull_vertices(pts))
-        via_chain = np.sort_complex(_chain_hull(pts))
-        assert_allclose(via_qhull, via_chain, atol=1e-12)
+        assert np.array_equal(_hull_vertices(pts), gift_wrap_hull(pts))
 
     def test_large_flat_input_falls_back(self, rng):
         t = rng.uniform(-1, 1, 5000)
-        pts = t * (1 + 2j)  # all on one line; qhull refuses this
+        pts = t * (1 + 2j)  # all on one line
         verts = _hull_vertices(pts)
-        assert verts.size == 2
+        assert np.array_equal(verts, [pts.min(), pts.max()])
 
     def test_ordered_input_against_gift_wrapping(self, rng):
         # each input is in an order the certificate must accept or refuse;
@@ -107,23 +103,26 @@ class TestHull:
             assert got.size == want.size, name
             assert_allclose(got, want, rtol=0, atol=1e-15, err_msg=name)
 
-    def test_certified_order_is_the_chain_output(self, rng):
+    def test_certified_order_matches_gift_wrapping(self, rng):
         # attained points of random blocks come in angular order; whenever
-        # the fast path accepts them it returns exactly the chain's array
+        # the fast path accepts them it returns the oracle's array, and
+        # the scan returns the same array for the points shuffled
         certified = 0
         for _ in range(40):
             n = int(rng.integers(2, 6))
             g = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
-            pts = numerical_range(ComplexMatrix(g)).attained
+            pts = numerical_range(ComplexMatrix(g), grid=90).attained
             fast = _ordered_hull(pts)
             if fast is not None:
                 certified += 1
-                assert np.array_equal(fast, _chain_hull(pts))
+                assert np.array_equal(fast, gift_wrap_hull(pts))
+                assert np.array_equal(fast, _hull_vertices(rng.permutation(pts)))
         assert certified >= 30
-        # a diamond thinner than the chain's coincidence snap turns left at
-        # every corner, but the chain merges its two middle corners
+        # a diamond thinner than the coincidence snap turns left at every
+        # corner, but its two middle corners merge into the lower one
         diamond = np.array([-1, -1e-16j, 1, 1e-16j])
-        assert np.array_equal(_hull_vertices(diamond), _chain_hull(diamond))
+        assert _ordered_hull(diamond) is None
+        assert np.array_equal(_hull_vertices(diamond), [-1, -1e-16j, 1])
 
     @given(complex_points)
     @settings(max_examples=60, deadline=None)
@@ -139,6 +138,69 @@ class TestHull:
         rb = ConvexRegion.from_points(pts_b, grid=90)
         ru = ConvexRegion.from_points(np.concatenate([ra.vertices, rb.vertices]), grid=90)
         assert_allclose(ru.support, np.maximum(ra.support, rb.support), atol=1e-9)
+
+
+def _hull_fuzz_cases():
+    """(name, points at unit scale, well conditioned) for the hull fuzz."""
+    rng = np.random.default_rng(77)
+
+    def gauss(n):
+        return rng.standard_normal(n) + 1j * rng.standard_normal(n)
+
+    def unit(n):
+        return np.exp(2j * np.pi * rng.uniform(0.0, 1.0, n))
+
+    t = rng.uniform(-1.0, 1.0, 40)
+    line = np.concatenate([t * (2 + 1j), t[:4] * (2 + 1j) + 1e-3j * gauss(4)])
+    base = gauss(30)
+    ring = np.concatenate([unit(300), 0.99 * np.sqrt(rng.uniform(0.0, 1.0, 200)) * unit(200)])
+    theta = 2 * np.pi * np.arange(80) / 80
+    ellipses = [c + r * np.exp(1j * phi) * (np.cos(theta + s) + 0.3j * np.sin(theta + s))
+                for c, r, phi, s in zip(3 * gauss(60), rng.uniform(0.2, 1.0, 60),
+                                        rng.uniform(0.0, np.pi, 60), rng.uniform(0.0, 1.0, 60))]
+    lattice = rng.integers(-4, 5, 60) + 1j * rng.integers(-4, 5, 60)
+    return [
+        ("lattice", lattice, False),
+        ("collinear run with off-line points", line, False),
+        ("1e-15 near-duplicates", np.concatenate([base, base * (1 + 1e-15 * gauss(30))]), False),
+        ("dense ring with interior points", ring, True),
+        ("union of convex polygons", np.concatenate(ellipses), True),
+    ]
+
+
+@pytest.mark.parametrize("scale", [1e-12, 1e-6, 1.0, 1e6, 1e12])
+def test_hull_fuzz(scale):
+    for name, unit, well_conditioned in _hull_fuzz_cases():
+        pts = scale * unit
+        size = np.abs(pts).max()
+        v = _hull_vertices(pts)
+        assert np.isin(v, pts).all(), name
+        if v.size >= 3:
+            assert np.array_equal(_ordered_hull(v), v), name
+            # no input point lies outside any edge line, in any direction
+            edge = np.roll(v, -1) - v
+            rel = pts[:, None] - v[None, :]
+            outside = (rel.real * edge.imag - rel.imag * edge.real) / np.abs(edge)
+            assert outside.max() <= 1e-13 * size, name
+        region = ConvexRegion.from_points(pts)
+        assert region.support_excess(pts).max() <= 1e-13 * size, name
+        if well_conditioned:
+            assert np.array_equal(v, gift_wrap_hull(pts)), name
+    assert _hull_fuzz_cases()[-1][1].size > 4096
+
+
+@pytest.mark.parametrize("c", [1e-15, 1e-14, 1e-12, 1e12, 1e15])
+def test_hull_and_range_scale_with_the_input(c):
+    # the coincidence merge has no absolute floor: a tiny triangle keeps
+    # its three corners, and W(cA) = c W(A) to rounding
+    triangle = np.array([0, 1, 0.4 + 0.9j])
+    assert ConvexRegion.from_points(c * triangle).vertices.size == 3
+    g = np.random.default_rng(5).standard_normal((3, 3, 2)) @ np.array([1, 1j])
+    base, scaled = numerical_range(ComplexMatrix(g)), numerical_range(ComplexMatrix(c * g))
+    for want, got in ((base.inner, scaled.inner), (base.outer, scaled.outer)):
+        assert got.vertices.size == want.vertices.size
+        size = np.abs(want.support).max()
+        assert_allclose(got.support / c, want.support, rtol=0, atol=1e-12 * size)
 
 
 class TestCanonical:

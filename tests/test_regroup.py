@@ -33,6 +33,8 @@ from helpers import (
     NILPOTENT,
     constant_spec,
     dense_spec,
+    mat,
+    random_matrix,
     scalar_periodic_spec,
     two_matrix_spec,
 )
@@ -144,6 +146,34 @@ class TestRegroup:
             numerical_range(DIAG23).inner.vertices,
         ])
         assert hausdorff(r, ConvexRegion.from_points(pts)) < 1e-12
+
+    def test_group_region_is_hull_of_every_block(self):
+        # a periodic group many cycles long, and a scalar tail behind a
+        # 2x2 prefix: the hull of every block's inner polygon, repeats
+        # included, is exactly the region built from the distinct blocks
+        rng = np.random.default_rng(8)
+        cycle = tuple(random_matrix(rng, n) for n in (2, 3, 1))
+        periodic = BlockOperatorSpec((random_matrix(rng, 2),), PeriodicTail(cycle))
+        scalar = BlockOperatorSpec((random_matrix(rng, 2),),
+                                   PeriodicTail((mat([[1.0]]), mat([[1j]]))))
+        for spec, decomp, m in ((periodic, Decomposition((1, 61)), 2),
+                                (periodic, Decomposition((61,)), 1),
+                                (scalar, Decomposition((40,)), 1),
+                                (scalar, Decomposition((1, 40)), 2)):
+            lo, hi = decomp.group_range(m)
+            pts = np.concatenate([numerical_range(spec.block(n)).inner.vertices
+                                  for n in range(lo, hi + 1)])
+            want = ConvexRegion.from_points(pts)
+            assert np.array_equal(group_region(spec, decomp, m).vertices, want.vertices)
+
+    def test_verify_takes_the_group_ranges(self):
+        spec = two_matrix_spec()
+        we = essential_numerical_range(spec)
+        d = regroup(spec, we, eps=0.5, depth=6)
+        groups = [group_region(spec, d, m) for m in range(3, 7)]
+        assert verify_conv_free(spec, d, we, 3, groups=groups) == verify_conv_free(spec, d, we, 3)
+        with pytest.raises(ValueError):
+            verify_conv_free(spec, d, we, 3, groups=groups[1:])
 
     def test_extreme_point_at_origin_rejected(self):
         spec = scalar_periodic_spec([0.0, 1.0])
