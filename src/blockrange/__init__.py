@@ -13,9 +13,7 @@ from .blockop import (
 )
 from .convex2d import (
     ConvexRegion,
-    ConvexWeights,
     PointCloud,
-    convex_hull,
     extreme_points,
     grid_angles,
     hausdorff,
@@ -29,7 +27,6 @@ from .errors import (
     EmptyIntersection,
     HorizonTooSmall,
     InconsistentResult,
-    IndexBelowK,
     NoConvergence,
     NonConvergence,
     NotNested,
@@ -43,23 +40,12 @@ from .essrange import (
     essential_numerical_range,
     translate_spec,
 )
-from .linalg import (
-    ComplexMatrix,
-    HermEigResult,
-    hermitian_part,
-    max_eigenpair,
-    rayleigh,
-)
+from .linalg import ComplexMatrix, rayleigh
 from .numrange import (
     NumericalRangeResult,
     numerical_range,
 )
-from .oracle import (
-    EssentialSample,
-    inner_approximate,
-    membership,
-    sample_essential_value,
-)
+from .oracle import inner_approximate
 from .regroup import (
     Decomposition,
     GroupSelection,
@@ -80,18 +66,14 @@ __all__ = [
     "BuiltinTail",
     "ComplexMatrix",
     "ConvexRegion",
-    "ConvexWeights",
     "Decomposition",
     "DegenerateGeometry",
     "EmptyInput",
     "EmptyIntersection",
     "EssentialRangeResult",
-    "EssentialSample",
     "GroupSelection",
-    "HermEigResult",
     "HorizonTooSmall",
     "InconsistentResult",
-    "IndexBelowK",
     "LimsupResult",
     "NoConvergence",
     "NonConvergence",
@@ -106,24 +88,19 @@ __all__ = [
     "ValidationError",
     "VanishingTail",
     "choose_translation",
-    "convex_hull",
     "essential_numerical_range",
     "extreme_points",
     "grid_angles",
     "group_region",
     "hausdorff",
-    "hermitian_part",
     "identity_decomposition",
     "inner_approximate",
     "intersect_regions",
     "limsup_ranges",
-    "max_eigenpair",
-    "membership",
     "nested_conv_exchange",
     "numerical_range",
     "rayleigh",
     "regroup",
-    "sample_essential_value",
     "tail_union",
     "translate_spec",
     "verify_conv_free",

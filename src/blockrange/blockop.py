@@ -60,9 +60,6 @@ class _DenseAngleTable:
         return np.asarray(self._fracs[start - 1 : start - 1 + count], dtype=np.float64)
 
 
-_DENSE_ANGLES = _DenseAngleTable()
-
-
 def _matrix_tuple(mats, what: str) -> tuple[ComplexMatrix, ...]:
     out = tuple(mats)
     for m in out:
@@ -160,10 +157,14 @@ class BuiltinTail:
 
     ``dense_angle_diagonal``: 1x1 blocks exp(2 pi i p/q) running through all
     rationals p/q in [0, 1] in denominator order, so every unimodular
-    direction recurs infinitely often and the angles equidistribute.
+    direction recurs infinitely often and the angles equidistribute.  Each
+    tail grows its own table of those fractions.
     """
 
     name: str
+    _angles: _DenseAngleTable = field(
+        default_factory=_DenseAngleTable, init=False, repr=False, compare=False
+    )
     kind: ClassVar[str] = "builtin"
 
     def __post_init__(self):
@@ -174,7 +175,7 @@ class BuiltinTail:
 
     def values(self, pos: int, count: int) -> np.ndarray:
         """Diagonal entries at 0-based tail positions pos .. pos + count - 1."""
-        fr = _DENSE_ANGLES.fractions(pos + 1, count)
+        fr = self._angles.fractions(pos + 1, count)
         return np.exp(2j * np.pi * fr)
 
     def base_block(self, pos: int, n: int) -> ComplexMatrix:
@@ -252,10 +253,6 @@ class BlockOperatorSpec:
     def tail_is_scalar(self) -> bool:
         return self.tail.scalar
 
-    @property
-    def is_scalar(self) -> bool:
-        return self.tail.scalar and all(m.dim == 1 for m in self.prefix)
-
     def window_values(self, start: int, count: int) -> np.ndarray:
         """Diagonal entries of blocks start .. start + count - 1.
 
@@ -305,6 +302,18 @@ def _attained_vertices(spec: BlockOperatorSpec, indices, grid: int, tol: float):
             continue
         seen.add(key)
         res = spec.range_of(blk, grid, tol)
+        pts.append(res.inner.vertices)
+        gap = max(gap, res.gap)
+    return pts, gap
+
+
+def _limit_vertices(spec: BlockOperatorSpec, grid: int, tol: float):
+    """Attained-boundary vertices and worst sandwich gap of the shifted limit
+    blocks of a vanishing tail, one range per limit block."""
+    pts = []
+    gap = 0.0
+    for lim in spec.tail.limits:
+        res = spec.range_of(spec.apply_shift(lim), grid, tol)
         pts.append(res.inner.vertices)
         gap = max(gap, res.gap)
     return pts, gap
@@ -363,10 +372,9 @@ def tail_union(
             )
         real = min(horizon, _VANISHING_WINDOW_CAP)
         pts, gap = _attained_vertices(spec, range(start, start + real), grid, tol)
-        for lim in t.limits:
-            res = spec.range_of(spec.apply_shift(lim), grid, tol)
-            pts.append(res.inner.vertices)
-            gap = max(gap, res.gap)
+        lim_pts, lim_gap = _limit_vertices(spec, grid, tol)
+        pts += lim_pts
+        gap = max(gap, lim_gap)
         # Blocks beyond the evaluated window sit within decay(n) of a limit
         # block, and W is 1-Lipschitz in the operator norm.
         slack = t.decay(start + real) if horizon > real else 0.0
@@ -435,12 +443,7 @@ def limsup_ranges(
         return LimsupResult(cloud, k0, ((k0, 0.0),))
 
     if isinstance(t, VanishingTail):
-        pts = []
-        gap = 0.0
-        for lim in t.limits:
-            res = spec.range_of(spec.apply_shift(lim), grid, tol)
-            pts.append(res.inner.vertices)
-            gap = max(gap, res.gap)
+        pts, gap = _limit_vertices(spec, grid, tol)
         cloud = PointCloud(np.concatenate(pts), gap)
         return LimsupResult(cloud, k0, ((k0, 0.0),))
 

@@ -220,12 +220,10 @@ def _write_cert(path: str | None, payload: dict) -> None:
                               encoding="utf-8")
 
 
-def _essential_svg(ess: EssentialRangeResult, extra_cloud: PointCloud | None = None) -> str:
+def _essential_svg(ess: EssentialRangeResult) -> str:
     scene = Scene()
     scene.add_polygon(ess.region.vertices, "fill")
     scene.add_points(ess.limsup.points, "cloud")
-    if extra_cloud is not None:
-        scene.add_points(extra_cloud.points, "muted")
     return scene.render()
 
 

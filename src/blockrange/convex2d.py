@@ -291,30 +291,6 @@ class PointCloud:
 
 
 @dataclass(frozen=True)
-class ConvexWeights:
-    """Finitely supported convex coefficients (non-negative, summing to one)."""
-
-    weights: np.ndarray
-
-    def __post_init__(self):
-        w = np.asarray(self.weights, dtype=np.float64).ravel()
-        if w.size == 0:
-            raise EmptyInput("convex weights need at least one coefficient")
-        if np.any(w < -1e-12) or not np.all(np.isfinite(w)):
-            raise ValueError("convex weights must be non-negative and finite")
-        total = float(w.sum())
-        if abs(total - 1.0) > 1e-9:
-            raise ValueError(f"convex weights sum to {total}, expected 1")
-        w = np.clip(w, 0.0, None)
-        w = w / w.sum()
-        w.setflags(write=False)
-        object.__setattr__(self, "weights", w)
-
-    def __len__(self) -> int:
-        return int(self.weights.size)
-
-
-@dataclass(frozen=True)
 class ConvexRegion:
     """Compact convex region: CCW vertices plus grid support values."""
 
@@ -344,10 +320,6 @@ class ConvexRegion:
         if pts.size == 0:
             raise EmptyInput("cannot take the hull of an empty point set")
         return cls._build(_hull_vertices(pts), grid)
-
-    @classmethod
-    def from_cloud(cls, cloud: PointCloud, grid: int = DEFAULT_GRID) -> "ConvexRegion":
-        return cls.from_points(cloud.points, grid)
 
     @classmethod
     def from_support(cls, support, grid: int | None = None) -> "ConvexRegion":
@@ -407,9 +379,6 @@ class ConvexRegion:
             out[lo:hi] = np.max(proj - self.support[None, :], axis=1)
         return out
 
-    def contains(self, points, tol: float = 1e-9) -> np.ndarray:
-        return self.support_excess(points) <= tol
-
     def distance(self, points) -> np.ndarray:
         """Exact Euclidean distance from each point to the region (0 inside)."""
         pts = np.asarray(points, dtype=np.complex128).ravel()
@@ -434,43 +403,8 @@ class ConvexRegion:
             out[lo:hi] = d_edge
         return out
 
-    def boundary_samples(self, max_spacing: float) -> np.ndarray:
-        """Vertices plus enough edge subdivisions to hit the given spacing."""
-        v = self.vertices
-        if v.size == 1:
-            return v.copy()
-        if max_spacing <= 0:
-            raise ValueError("max_spacing must be positive")
-        pieces = []
-        nxt = np.roll(v, -1)
-        for a, b in zip(v, nxt):
-            n = max(1, int(np.ceil(abs(b - a) / max_spacing)))
-            t = np.arange(n) / n
-            pieces.append(a + t * (b - a))
-        return np.concatenate(pieces)
 
-    def area_samples(self, max_spacing: float) -> np.ndarray:
-        """Boundary samples plus an interior grid at the given spacing."""
-        bnd = self.boundary_samples(max_spacing)
-        v = self.vertices
-        if v.size <= 2:
-            return bnd
-        xs = np.arange(v.real.min(), v.real.max() + max_spacing, max_spacing)
-        ys = np.arange(v.imag.min(), v.imag.max() + max_spacing, max_spacing)
-        gx, gy = np.meshgrid(xs, ys)
-        grid = (gx + 1j * gy).ravel()
-        keep = grid[self.contains(grid, tol=1e-12)]
-        return np.concatenate([bnd, keep])
-
-
-# -- hulls and distances ------------------------------------------------
-
-
-def convex_hull(points, grid: int = DEFAULT_GRID) -> ConvexRegion:
-    """Convex hull of a cloud or raw complex array as a canonical region."""
-    if isinstance(points, PointCloud):
-        points = points.points
-    return ConvexRegion.from_points(points, grid)
+# -- distances ----------------------------------------------------------
 
 
 def _cloud_points(x) -> np.ndarray:
@@ -491,7 +425,7 @@ def _region_hausdorff(a: ConvexRegion, b: ConvexRegion) -> float:
 
 
 def hausdorff(a, b) -> float:
-    """Hausdorff distance between regions and/or clouds.
+    """Hausdorff distance between two regions or between two clouds.
 
     Region-region is exact over all directions.  For convex sets
     d_H(A, B) = sup_u |h_A(u) - h_B(u)| over unit directions u: the
@@ -501,30 +435,22 @@ def hausdorff(a, b) -> float:
     arc of the two merged normal fans the supporting vertices a and b are
     fixed, so the arc's maximum of |Re((a - b) e^{-i phi})| is |a - b| when
     the arc contains arg(a - b) mod pi, and its value at an arc end
-    otherwise.  Cloud-cloud is exact (up to fp).  The mixed case samples
-    the region at a spacing tied to its diameter, so it carries a small
-    extra sampling error.
+    otherwise.  Cloud-cloud is exact (up to fp), by nearest neighbours.
+    A region and a cloud raise TypeError: take the hull of the cloud.
     """
     a_region = isinstance(a, ConvexRegion)
     b_region = isinstance(b, ConvexRegion)
     if a_region and b_region:
         return _region_hausdorff(a, b)
-    if not a_region and not b_region:
-        pa = _cloud_points(a)
-        pb = _cloud_points(b)
-        ta = cKDTree(np.column_stack([pa.real, pa.imag]))
-        tb = cKDTree(np.column_stack([pb.real, pb.imag]))
-        d_ab = tb.query(np.column_stack([pa.real, pa.imag]))[0].max()
-        d_ba = ta.query(np.column_stack([pb.real, pb.imag]))[0].max()
-        return float(max(d_ab, d_ba))
-    region, cloud = (a, b) if a_region else (b, a)
-    pts = _cloud_points(cloud)
-    to_region = float(region.distance(pts).max())
-    spacing = max(region.diameter, np.abs(pts).max(), 1e-9) / 256.0
-    samples = region.area_samples(spacing)
-    tree = cKDTree(np.column_stack([pts.real, pts.imag]))
-    from_region = float(tree.query(np.column_stack([samples.real, samples.imag]))[0].max())
-    return max(to_region, from_region)
+    if a_region or b_region:
+        raise TypeError("hausdorff takes two regions or two clouds, not one of each")
+    pa = _cloud_points(a)
+    pb = _cloud_points(b)
+    ta = cKDTree(np.column_stack([pa.real, pa.imag]))
+    tb = cKDTree(np.column_stack([pb.real, pb.imag]))
+    d_ab = tb.query(np.column_stack([pa.real, pa.imag]))[0].max()
+    d_ba = ta.query(np.column_stack([pb.real, pb.imag]))[0].max()
+    return float(max(d_ab, d_ba))
 
 
 # -- intersection on the normal fans ------------------------------------
@@ -680,13 +606,12 @@ def intersect_regions(a: ConvexRegion, b: ConvexRegion) -> ConvexRegion:
 # -- extreme points and nesting ----------------------------------------
 
 
-def extreme_points(region: ConvexRegion, collinear_tol: float | None = None) -> PointCloud:
+def extreme_points(region: ConvexRegion) -> PointCloud:
     """Vertices that are genuine corners (not interior to an edge)."""
     v = region.vertices
     if v.size <= 2:
         return PointCloud(v.copy(), 0.0)
-    if collinear_tol is None:
-        collinear_tol = 1e-9 * max(region.diameter, 1e-12)
+    collinear_tol = 1e-9 * region.diameter
     prev = np.roll(v, 1)
     nxt = np.roll(v, -1)
     chord = nxt - prev
@@ -720,9 +645,9 @@ def nested_conv_exchange(clouds, tol: float, grid: int = DEFAULT_GRID):
             raise NotNested(
                 f"cloud {k + 1} escapes cloud {k} by {float(d.max()):.3e} (allowed {slack:.3e})"
             )
-    lhs = ConvexRegion.from_cloud(seq[0], grid)
+    lhs = ConvexRegion.from_points(seq[0].points, grid)
     for c in seq[1:]:
-        lhs = intersect_regions(lhs, ConvexRegion.from_cloud(c, grid))
+        lhs = intersect_regions(lhs, ConvexRegion.from_points(c.points, grid))
     last = seq[-1].points
     keep = np.ones(last.size, dtype=bool)
     for c in seq[:-1]:

@@ -65,7 +65,3 @@ class ParseError(BlockRangeError):
 
 class ValidationError(BlockRangeError, ValueError):
     """An operator document or a parameter violates the schema or an invariant."""
-
-
-class IndexBelowK(BlockRangeError):
-    """A block index fell below the requested tail start."""

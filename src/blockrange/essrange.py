@@ -99,12 +99,12 @@ def essential_numerical_range(
 ) -> EssentialRangeResult:
     """Essential numerical range of the operator described by ``spec``."""
     lim = limsup_ranges(spec, eps, k_cap, grid, horizon, tol)
-    region = ConvexRegion.from_cloud(lim.cloud, grid)
+    region = ConvexRegion.from_points(lim.cloud.points, grid)
 
     inter: ConvexRegion | None = None
     for start in _start_schedule(spec, lim.converged_at, eps, k_cap):
         window = tail_union(spec, start, horizon, grid, tol)
-        hull = ConvexRegion.from_cloud(window, grid)
+        hull = ConvexRegion.from_points(window.points, grid)
         inter = hull if inter is None else intersect_regions(inter, hull)
     assert inter is not None
     gap = float(hausdorff(region, inter))

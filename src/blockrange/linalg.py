@@ -16,7 +16,6 @@ import numpy as np
 from .errors import NonConvergence, NotUnit
 
 DEFAULT_EIG_TOL = 1e-10
-HERMITIAN_TOL = 1e-12
 UNIT_TOL = 1e-10
 
 
@@ -72,27 +71,6 @@ class ComplexMatrix:
         return hash(self.entries.tobytes())
 
 
-def hermitian_part(a: ComplexMatrix, theta: float = 0.0) -> ComplexMatrix:
-    """Hermitian part of ``a`` rotated by ``theta``: (e^{-i theta} A + adjoint)/2."""
-    b = np.exp(-1j * theta) * a.entries
-    h = (b + b.conj().T) / 2.0
-    return ComplexMatrix(h, min(a.norm_bound, float(np.linalg.norm(h))))
-
-
-def is_hermitian(entries: np.ndarray, tol: float = HERMITIAN_TOL) -> bool:
-    dev = float(np.max(np.abs(entries - entries.conj().T))) if entries.size else 0.0
-    return dev <= tol * max(1.0, float(np.max(np.abs(entries))) if entries.size else 1.0)
-
-
-@dataclass(frozen=True)
-class HermEigResult:
-    """Largest eigenvalue, a unit eigenvector, and the attained residual."""
-
-    lambda_max: float
-    vector: np.ndarray
-    residual: float
-
-
 def max_eigenpairs_batch(mats: np.ndarray, tol: float = DEFAULT_EIG_TOL):
     """Largest eigenpair of every matrix in a Hermitian batch.
 
@@ -118,14 +96,6 @@ def max_eigenpairs_batch(mats: np.ndarray, tol: float = DEFAULT_EIG_TOL):
         k = bad[0]
         raise NonConvergence(f"eigenpair residual {res[k]:.3e} exceeds tolerance {bound[k]:.3e}")
     return lams, xs, res
-
-
-def max_eigenpair(h: ComplexMatrix, tol: float = DEFAULT_EIG_TOL) -> HermEigResult:
-    """Largest eigenvalue and eigenvector of a Hermitian matrix."""
-    if not is_hermitian(h.entries):
-        raise ValueError("matrix is not Hermitian within tolerance")
-    lams, xs, res = max_eigenpairs_batch(h.entries[None, :, :], tol)
-    return HermEigResult(float(lams[0]), xs[0], float(res[0]))
 
 
 def rayleigh(a: ComplexMatrix, x: np.ndarray) -> complex:

@@ -33,10 +33,6 @@ class NumericalRangeResult:
     gap: float
     attained: np.ndarray
 
-    @property
-    def grid_size(self) -> int:
-        return self.outer.grid_size
-
 
 def numerical_range(
     a: ComplexMatrix,

@@ -13,54 +13,15 @@ hull is already a combination of at most three of the generating points.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .blockop import BlockOperatorSpec, VanishingTail
-from .convex2d import ConvexRegion, ConvexWeights, PointCloud
-from .errors import IndexBelowK, ValidationError
+from .convex2d import PointCloud
+from .errors import ValidationError
 from .linalg import rayleigh
 
 DEFAULT_SAMPLES = 2000
 DEFAULT_WINDOW = 256
-
-
-@dataclass(frozen=True)
-class EssentialSample:
-    """One certified essential value with its provenance."""
-
-    value: complex
-    start: int
-    weights: ConvexWeights
-    block_indices: tuple[int, ...]
-
-
-def sample_essential_value(
-    spec: BlockOperatorSpec,
-    start: int,
-    weights,
-    picks,
-) -> EssentialSample:
-    """Convex combination of Rayleigh values of distinct blocks >= ``start``.
-
-    ``picks`` is a sequence of (block index, unit vector) pairs, one per
-    weight.  Indices must be distinct and at or beyond ``start``.
-    """
-    w = weights if isinstance(weights, ConvexWeights) else ConvexWeights(weights)
-    picks = list(picks)
-    if len(picks) != len(w):
-        raise ValidationError(f"{len(w)} weights but {len(picks)} picks")
-    idxs = [int(n) for n, _ in picks]
-    if len(set(idxs)) != len(idxs):
-        raise ValidationError("block indices must be distinct")
-    low = min(idxs)
-    if low < start:
-        raise IndexBelowK(f"block index {low} is below the tail start {start}")
-    value = 0j
-    for wi, (n, x) in zip(w.weights, picks):
-        value += wi * rayleigh(spec.block(n), x)
-    return EssentialSample(complex(value), start, w, tuple(idxs))
 
 
 def inner_approximate(
@@ -113,7 +74,3 @@ def inner_approximate(
         resolution += spec.tail.decay(max(start, spec.prefix_len + 1))
     return PointCloud(pts, resolution)
 
-
-def membership(point: complex, region: ConvexRegion, tol: float = 1e-9) -> bool:
-    """Whether ``point`` lies in ``region`` up to ``tol`` (support test)."""
-    return bool(region.support_excess([point])[0] <= tol)

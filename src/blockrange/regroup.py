@@ -67,9 +67,8 @@ def choose_translation(region: ConvexRegion, angular_tol: float = 1e-7) -> Trans
     """
     ext = extreme_points(region).points
     diam = region.diameter
-    if diam <= 1e-12 * max(1.0, np.abs(ext).max()):
-        a = complex(ext[0])
-        if abs(a) > 1e-12:
+    if diam <= 1e-12 * np.abs(ext).max():
+        if ext[0] != 0:
             return TranslationChoice(0.0, "identity", 2.0 * np.pi)
         return TranslationChoice(-1.0, "origin_singleton", 2.0 * np.pi)
 
@@ -158,7 +157,7 @@ def _bucket_targets(ext: np.ndarray, m: int) -> list[tuple[int, complex]]:
             continue
         mod = np.abs(members)
         best = mod.max()
-        close = members[mod >= best - 1e-12 * max(best, 1.0)]
+        close = members[mod >= best - 1e-12 * best]
         reps[j] = complex(close[np.argmin(np.mod(np.angle(close), 2.0 * np.pi))])
     filled = []
     occupied = sorted(reps)
@@ -226,7 +225,7 @@ def regroup(
     if scan_cap < 1:
         raise ValidationError(f"scan cap must be at least 1, got {scan_cap}")
     ext = extreme_points(we.region).points
-    scale = max(float(np.abs(ext).max()), 1e-12)
+    scale = float(np.abs(ext).max())
     if float(np.min(np.abs(ext))) <= 1e-9 * scale:
         raise DegenerateGeometry(
             "an extreme point sits at the origin; translate the operator first"

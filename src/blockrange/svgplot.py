@@ -15,8 +15,9 @@ _PALETTE = {
     "fill": ("#1f77b4", "#1f77b422"),
     "accent": ("#d62728", "none"),
     "cloud": ("#2ca02c", "#2ca02c"),
-    "muted": ("#7f7f7f", "#7f7f7f"),
 }
+_SIZE = 640  # square canvas, in pixels
+_MARGIN = 0.08  # padding, as a fraction of the drawing's span
 
 
 def _fmt(x: float) -> str:
@@ -26,10 +27,7 @@ def _fmt(x: float) -> str:
 class Scene:
     """Collects polygons and point clouds, then renders one SVG document."""
 
-    def __init__(self, width: int = 640, height: int = 640, margin: float = 0.08):
-        self.width = width
-        self.height = height
-        self.margin = margin
+    def __init__(self):
         self._items: list[tuple[str, np.ndarray, str]] = []
 
     def add_polygon(self, vertices, style: str = "region") -> "Scene":
@@ -51,36 +49,36 @@ class Scene:
         x0, x1 = float(allpts.real.min()), float(allpts.real.max())
         y0, y1 = float(allpts.imag.min()), float(allpts.imag.max())
         span = max(x1 - x0, y1 - y0, 1e-9)
-        pad = self.margin * span
+        pad = _MARGIN * span
         x0, x1 = x0 - pad, x1 + pad
         y0, y1 = y0 - pad, y1 + pad
         span_x, span_y = x1 - x0, y1 - y0
-        scale = min(self.width / span_x, self.height / span_y)
-        off_x = (self.width - scale * span_x) / 2.0
-        off_y = (self.height - scale * span_y) / 2.0
+        scale = _SIZE / max(span_x, span_y)
+        off_x = (_SIZE - scale * span_x) / 2.0
+        off_y = (_SIZE - scale * span_y) / 2.0
 
         def to_px(z: complex) -> tuple[float, float]:
             return (
                 off_x + (z.real - x0) * scale,
-                self.height - off_y - (z.imag - y0) * scale,
+                _SIZE - off_y - (z.imag - y0) * scale,
             )
 
         lines = [
             '<?xml version="1.0" encoding="UTF-8"?>',
-            f'<svg xmlns="http://www.w3.org/2000/svg" width="{self.width}" '
-            f'height="{self.height}" viewBox="0 0 {self.width} {self.height}">',
-            f'<rect width="{self.width}" height="{self.height}" fill="#ffffff"/>',
+            f'<svg xmlns="http://www.w3.org/2000/svg" width="{_SIZE}" '
+            f'height="{_SIZE}" viewBox="0 0 {_SIZE} {_SIZE}">',
+            f'<rect width="{_SIZE}" height="{_SIZE}" fill="#ffffff"/>',
         ]
         if x0 < 0 < x1:
             px = to_px(0j)[0]
             lines.append(
-                f'<line x1="{_fmt(px)}" y1="0" x2="{_fmt(px)}" y2="{self.height}" '
+                f'<line x1="{_fmt(px)}" y1="0" x2="{_fmt(px)}" y2="{_SIZE}" '
                 'stroke="#dddddd" stroke-width="1"/>'
             )
         if y0 < 0 < y1:
             py = to_px(0j)[1]
             lines.append(
-                f'<line x1="0" y1="{_fmt(py)}" x2="{self.width}" y2="{_fmt(py)}" '
+                f'<line x1="0" y1="{_fmt(py)}" x2="{_SIZE}" y2="{_fmt(py)}" '
                 'stroke="#dddddd" stroke-width="1"/>'
             )
         for kind, pts, style in self._items:

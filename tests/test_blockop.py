@@ -21,7 +21,7 @@ from blockrange import (
     tail_union,
     translate_spec,
 )
-from blockrange.blockop import _DENSE_ANGLES, _RANGE_MEMO_CAP
+from blockrange.blockop import _RANGE_MEMO_CAP
 
 from helpers import (
     DIAG23,
@@ -67,9 +67,9 @@ class TestSpecBasics:
             PeriodicTail(())
 
     def test_scalar_detection(self):
-        assert scalar_periodic_spec([1.0, -1.0]).is_scalar
-        assert not two_matrix_spec().is_scalar
-        assert dense_spec().is_scalar
+        assert scalar_periodic_spec([1.0, -1.0]).tail_is_scalar
+        assert not two_matrix_spec().tail_is_scalar
+        assert dense_spec().tail_is_scalar
 
     def test_window_values_match_blocks(self):
         spec = scalar_periodic_spec([1.0, 2.0, 3.0], prefix=[9.0])
@@ -132,15 +132,25 @@ class TestDenseAngles:
         while len(want) < 500:
             want.extend(Fraction(p, q) for p in range(1, q) if gcd(p, q) == 1)
             q += 1
-        got = _DENSE_ANGLES.fractions(1, 500)
+        got = BuiltinTail("dense_angle_diagonal")._angles.fractions(1, 500)
         assert_allclose(got, [float(f) for f in want[:500]], atol=0)
 
     def test_every_rational_appears_once(self):
-        fr = _DENSE_ANGLES.fractions(1, 2000)
+        fr = BuiltinTail("dense_angle_diagonal")._angles.fractions(1, 2000)
         assert len(np.unique(fr)) == 2000  # all fractions distinct in [0, 1]
         # ... though 0/1 and 1/1 collide once mapped to the circle
         vals = np.exp(2j * np.pi * fr)
         assert len(np.unique(np.round(vals, 12))) == 2000 - 1
+
+    def test_each_tail_owns_its_table(self):
+        a, b = BuiltinTail("dense_angle_diagonal"), BuiltinTail("dense_angle_diagonal")
+        assert a._angles is not b._angles
+        a.values(0, 3000)
+        assert len(b._angles._fracs) < 3000
+        # the table takes no part in equality, hashing or the repr
+        assert a == b and hash(a) == hash(b)
+        assert repr(a) == "BuiltinTail(name='dense_angle_diagonal')"
+        assert_allclose(b.values(2990, 10), a.values(2990, 10), atol=0)
 
     def test_first_values(self):
         t = BuiltinTail("dense_angle_diagonal")

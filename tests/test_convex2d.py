@@ -7,12 +7,10 @@ from numpy.testing import assert_allclose
 from blockrange import (
     ComplexMatrix,
     ConvexRegion,
-    ConvexWeights,
     EmptyInput,
     EmptyIntersection,
     NotNested,
     PointCloud,
-    convex_hull,
     extreme_points,
     grid_angles,
     hausdorff,
@@ -304,10 +302,14 @@ class TestHausdorff:
         assert hausdorff(a, b) == pytest.approx(1.0)
 
     def test_mixed_cloud_region(self):
+        # one exact distance: a region is compared with a region, so a
+        # cloud must be hulled first
         sq = square(0, 1)
         cloud = PointCloud(np.array([0j, 1 + 0j, 1 + 1j, 1j, 0.5 + 0.5j]))
-        # cloud covers corners+center; worst region point is an edge midpoint
-        assert hausdorff(sq, cloud) == pytest.approx(0.5, abs=2e-2)
+        for a, b in ((sq, cloud), (cloud, sq), (sq, cloud.points)):
+            with pytest.raises(TypeError):
+                hausdorff(a, b)
+        assert hausdorff(sq, ConvexRegion.from_points(cloud.points)) == 0.0
 
     def test_symmetry_and_triangle_inequality(self, rng):
         clouds = [
@@ -323,7 +325,7 @@ class TestHausdorff:
             pa = rng.standard_normal(25) + 1j * rng.standard_normal(25)
             pb = rng.standard_normal(25) + 1j * rng.standard_normal(25)
             d_cloud = hausdorff(PointCloud(pa), PointCloud(pb))
-            d_hull = hausdorff(convex_hull(pa), convex_hull(pb))
+            d_hull = hausdorff(ConvexRegion.from_points(pa), ConvexRegion.from_points(pb))
             assert d_hull <= d_cloud + 1e-10
 
 
@@ -378,14 +380,11 @@ class TestIntersect:
                 got = intersect_regions(a, b)
             except EmptyIntersection:
                 continue
-            # oracle: dense samples of both regions kept if inside the other
-            samples = np.concatenate([a.area_samples(0.02), b.area_samples(0.02)])
-            keep = samples[(a.support_excess(samples) <= 1e-9)
-                           & (b.support_excess(samples) <= 1e-9)]
-            if keep.size == 0:
-                continue
-            want = ConvexRegion.from_points(keep, grid=720)
-            assert hausdorff(got, want) < 0.05
+            # oracle: every vertex inside the other polygon and every crossing
+            # of two edges, by exhaustive scans
+            want = brute_intersection(gift_wrap_hull(pa), gift_wrap_hull(pb))
+            assert want.size > 0
+            assert hausdorff(got, ConvexRegion.from_points(want, grid=720)) < 1e-12
 
     def test_min_support_overestimates_intersection(self, rng):
         # the pointwise min of supports is only an upper envelope
@@ -548,24 +547,6 @@ class TestNestedConvExchange:
         b = PointCloud(np.array([5 + 5j]))
         with pytest.raises(NotNested):
             nested_conv_exchange([a, b], tol=1e-6)
-
-
-class TestConvexWeights:
-    def test_valid(self):
-        w = ConvexWeights([0.2, 0.3, 0.5])
-        assert len(w) == 3
-
-    def test_rejects_negative(self):
-        with pytest.raises(ValueError):
-            ConvexWeights([0.5, -0.5, 1.0])
-
-    def test_rejects_bad_sum(self):
-        with pytest.raises(ValueError):
-            ConvexWeights([0.5, 0.1])
-
-    def test_rejects_empty(self):
-        with pytest.raises(EmptyInput):
-            ConvexWeights([])
 
 
 class TestPointCloud:

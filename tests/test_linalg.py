@@ -1,11 +1,16 @@
 import numpy as np
 import pytest
-from numpy.testing import assert_allclose
 
-from blockrange import ComplexMatrix, NonConvergence, NotUnit, hermitian_part, max_eigenpair, rayleigh
+from blockrange import ComplexMatrix, NonConvergence, NotUnit, numerical_range, rayleigh
 from blockrange.linalg import max_eigenpairs_batch
 
-from helpers import charpoly_lambda_max, random_hermitian, random_matrix, random_unit_vector
+from helpers import NILPOTENT, charpoly_lambda_max, random_hermitian, random_matrix, random_unit_vector
+
+
+def top_pair(h, tol=1e-10):
+    """Largest eigenvalue and eigenvector of one matrix, through the batch."""
+    lams, xs, _ = max_eigenpairs_batch(np.asarray(h, dtype=complex)[None], tol)
+    return float(lams[0]), xs[0]
 
 
 class TestComplexMatrix:
@@ -44,55 +49,69 @@ class TestComplexMatrix:
 
 
 class TestHermitianPart:
+    """The rotated Hermitian parts H(theta) = (e^{-i theta} A + adjoint) / 2
+    that ``numerical_range`` builds, seen through its support values: the
+    support of W(A) at grid angle theta is the top eigenvalue of H(theta)."""
+
     def test_hermitian_fixed_point_at_zero_angle(self, rng):
+        # H(0) of a Hermitian matrix is the matrix itself
         h = random_hermitian(rng, 4)
-        out = hermitian_part(ComplexMatrix(h), 0.0)
-        assert_allclose(out.entries, h, atol=1e-14)
+        res = numerical_range(ComplexMatrix(h), grid=360)
+        assert res.outer.support[0] == pytest.approx(charpoly_lambda_max(h), abs=1e-8)
 
     def test_nilpotent_example(self):
-        a = ComplexMatrix([[0, 1], [0, 0]])
-        out = hermitian_part(a, 0.0)
-        assert_allclose(out.entries, [[0, 0.5], [0.5, 0]], atol=0)
+        # H(0) = [[0, 1/2], [1/2, 0]]: top eigenvalue 1/2 at (1, 1)/sqrt(2)
+        res = numerical_range(NILPOTENT, grid=360)
+        assert res.outer.support[0] == pytest.approx(0.5, abs=1e-12)
+        assert res.attained[0] == pytest.approx(0.5 + 0j, abs=1e-10)
 
     def test_matches_entrywise_recompute(self, rng):
         # independent recomputation with scalar complex arithmetic
         import cmath
 
         a = random_matrix(rng, 4)
-        theta = 1.2345
-        out = hermitian_part(a, theta).entries
+        j = 49
+        theta = 2 * np.pi * j / 360
         w = cmath.exp(-1j * theta)
-        for i in range(4):
-            for j in range(4):
-                expect = (w * a.entries[i, j] + (w * a.entries[j, i]).conjugate()) / 2
-                assert abs(out[i, j] - expect) < 1e-14
+        h = np.empty((4, 4), dtype=complex)
+        for r in range(4):
+            for c in range(4):
+                h[r, c] = (w * a.entries[r, c] + (w * a.entries[c, r]).conjugate()) / 2
+        res = numerical_range(a, grid=360)
+        assert res.outer.support[j] == pytest.approx(charpoly_lambda_max(h), abs=1e-8)
 
     def test_output_is_hermitian(self, rng):
-        for theta in rng.uniform(0, 2 * np.pi, size=20):
+        # x* H(theta) x = Re(e^{-i theta} x* A x) for Hermitian H(theta), so
+        # every attained point lies on its supporting line
+        for _ in range(5):
             a = random_matrix(rng, 5)
-            h = hermitian_part(a, float(theta)).entries
-            assert np.max(np.abs(h - h.conj().T)) < 1e-14
+            res = numerical_range(a, grid=64)
+            th = 2 * np.pi * np.arange(64) / 64
+            on_line = np.real(res.attained * np.exp(-1j * th))
+            assert np.max(np.abs(on_line - res.outer.support)) < 1e-12
 
 
 class TestMaxEigenpair:
     def test_diagonal(self):
-        res = max_eigenpair(ComplexMatrix(np.diag([1.0, 3.0, 2.0])))
-        assert res.lambda_max == pytest.approx(3.0, abs=1e-12)
-        assert abs(abs(res.vector[1]) - 1.0) < 1e-10
+        lam, x = top_pair(np.diag([1.0, 3.0, 2.0]))
+        assert lam == pytest.approx(3.0, abs=1e-12)
+        assert abs(abs(x[1]) - 1.0) < 1e-10
 
     def test_pauli_x(self):
-        res = max_eigenpair(ComplexMatrix([[0, 1], [1, 0]]))
-        assert res.lambda_max == pytest.approx(1.0, abs=1e-12)
+        lam, _ = top_pair([[0, 1], [1, 0]])
+        assert lam == pytest.approx(1.0, abs=1e-12)
 
     def test_rejects_non_hermitian(self):
-        with pytest.raises(ValueError):
-            max_eigenpair(ComplexMatrix([[0, 1], [0, 0]]))
+        # eigh reads one triangle only; the residual against the whole
+        # matrix is what rejects a non-Hermitian input
+        with pytest.raises(NonConvergence):
+            top_pair([[0, 1], [0, 0]])
 
     def test_against_charpoly_bisection(self, rng):
         for n in (2, 3, 5, 7):
             for _ in range(5):
                 h = random_hermitian(rng, n)
-                got = max_eigenpair(ComplexMatrix(h)).lambda_max
+                got, _ = top_pair(h)
                 want = charpoly_lambda_max(h)
                 assert got == pytest.approx(want, abs=1e-8)
 
@@ -110,7 +129,7 @@ class TestMaxEigenpair:
     def test_unreachable_tolerance_raises(self, rng):
         h = random_hermitian(rng, 4)
         with pytest.raises(NonConvergence):
-            max_eigenpair(ComplexMatrix(h), tol=1e-30)
+            top_pair(h, tol=1e-30)
 
     def test_batch_matches_charpoly_bisection(self, rng):
         batch = np.stack([random_hermitian(rng, 6) for _ in range(40)])
@@ -127,8 +146,8 @@ class TestMaxEigenpair:
             max_eigenpairs_batch(random_hermitian(rng, 3)[None])
 
     def test_one_by_one(self):
-        res = max_eigenpair(ComplexMatrix([[2.5]]))
-        assert res.lambda_max == 2.5
+        lam, _ = top_pair([[2.5]])
+        assert lam == 2.5
 
 
 class TestRayleigh:

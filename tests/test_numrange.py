@@ -88,9 +88,7 @@ class TestNumericalRange:
         samples = rayleigh_samples(a.entries, 200000, seed=3)
         # the sampled cloud should fill the inner region decently: its hull
         # must come within a few percent of the inner polygon
-        from blockrange import convex_hull
-
-        mc_hull = convex_hull(samples, grid=720)
+        mc_hull = ConvexRegion.from_points(samples, grid=720)
         assert hausdorff(mc_hull, res.inner) < 0.05 * max(1.0, res.inner.diameter)
 
     def test_attained_points_are_rayleigh_values(self, rng):

@@ -3,14 +3,10 @@ import pytest
 from numpy.testing import assert_allclose
 
 from blockrange import (
-    ConvexWeights,
-    IndexBelowK,
-    ValidationError,
     essential_numerical_range,
     inner_approximate,
-    membership,
     numerical_range,
-    sample_essential_value,
+    rayleigh,
 )
 
 from helpers import (
@@ -26,46 +22,42 @@ from helpers import (
 
 
 class TestSampleEssentialValue:
+    """An essential value as ``inner_approximate`` samples it: a convex
+    combination of Rayleigh values of distinct blocks."""
+
     def test_matches_direct_sum_quadratic_form(self, rng):
         # the combination of per-block Rayleigh values must equal the
         # quadratic form of one assembled vector on the finite direct sum
         spec = two_matrix_spec()
         picks = [(n, random_unit_vector(rng, 2)) for n in (3, 5, 8)]
-        weights = ConvexWeights([0.5, 0.3, 0.2])
-        s = sample_essential_value(spec, 3, weights, picks)
+        weights = np.array([0.5, 0.3, 0.2])
+        value = sum(w * rayleigh(spec.block(n), x) for w, (n, x) in zip(weights, picks))
 
         blocks = [spec.block(n) for n in range(1, 9)]
         big = assemble_block_diagonal(blocks)
         v = np.zeros(big.shape[0], dtype=complex)
-        for w, (n, x) in zip(weights.weights, picks):
+        for w, (n, x) in zip(weights, picks):
             v[2 * (n - 1) : 2 * n] = np.sqrt(w) * x
         assert np.linalg.norm(v) == pytest.approx(1.0)
-        assert_allclose(np.vdot(v, big @ v), s.value, atol=1e-12)
+        assert_allclose(np.vdot(v, big @ v), value, atol=1e-12)
 
-    def test_records_provenance(self, rng):
-        spec = constant_spec(NILPOTENT)
-        picks = [(7, random_unit_vector(rng, 2)), (9, random_unit_vector(rng, 2))]
-        s = sample_essential_value(spec, 6, [0.25, 0.75], picks)
-        assert s.start == 6
-        assert s.block_indices == (7, 9)
+    def test_duplicate_indices_rejected(self):
+        # the three blocks of a sample are distinct: over a window of the
+        # four corners of the unit square, three distinct corners with
+        # positive weights give a point strictly inside the square, while a
+        # repeated block would put it on an edge
+        spec = scalar_periodic_spec([0.0, 1.0, 1 + 1j, 1j])
+        pts = inner_approximate(spec, samples=2000, seed=4, window=4).points
+        assert pts.real.min() > 0.0 and pts.real.max() < 1.0
+        assert pts.imag.min() > 0.0 and pts.imag.max() < 1.0
 
-    def test_duplicate_indices_rejected(self, rng):
-        spec = constant_spec(NILPOTENT)
-        x = random_unit_vector(rng, 2)
-        with pytest.raises(ValidationError):
-            sample_essential_value(spec, 1, [0.5, 0.5], [(4, x), (4, x)])
-
-    def test_count_mismatch_rejected(self, rng):
-        spec = constant_spec(NILPOTENT)
-        x = random_unit_vector(rng, 2)
-        with pytest.raises(ValidationError):
-            sample_essential_value(spec, 1, [0.5, 0.5], [(4, x)])
-
-    def test_index_below_start_rejected(self, rng):
-        spec = constant_spec(NILPOTENT)
-        x = random_unit_vector(rng, 2)
-        with pytest.raises(IndexBelowK):
-            sample_essential_value(spec, 5, [1.0], [(4, x)])
+    def test_index_below_start_rejected(self):
+        # no sample uses a block below the start: far-off prefix blocks
+        # leave no trace in the cloud
+        spec = scalar_periodic_spec([1.0, -1.0], prefix=[50.0, 50j])
+        for start in (3, 4):
+            cloud = inner_approximate(spec, start=start, samples=500, seed=5)
+            assert np.abs(cloud.points).max() <= 1.0 + 1e-12
 
 
 class TestInnerApproximate:
@@ -115,13 +107,15 @@ class TestInnerApproximate:
 
 
 class TestMembership:
+    """Membership in a region is a support test: ``support_excess`` <= tol."""
+
     def test_inside_and_outside(self):
         region = numerical_range(NILPOTENT).outer
-        assert membership(0j, region)
-        assert membership(0.5, region, tol=1e-6)
-        assert not membership(2.0, region)
+        assert region.support_excess([0j])[0] <= 1e-9
+        assert region.support_excess([0.5])[0] <= 1e-6
+        assert not region.support_excess([2.0])[0] <= 1e-9
 
     def test_tolerance_widens_test(self):
         region = numerical_range(NILPOTENT).outer
-        assert not membership(0.6, region)
-        assert membership(0.6, region, tol=0.2)
+        assert not region.support_excess([0.6])[0] <= 1e-9
+        assert region.support_excess([0.6])[0] <= 0.2

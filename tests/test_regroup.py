@@ -69,7 +69,7 @@ class TestChooseTranslation:
     def test_square_center_stays_inside(self):
         sq = ConvexRegion.from_points(np.array([1 + 1j, -1 + 1j, -1 - 1j, 1 - 1j]))
         c = choose_translation(sq)
-        assert bool(sq.contains(np.array([c.z]))[0])
+        assert sq.support_excess([c.z])[0] <= 1e-9
         assert c.angular_margin > 0.1
 
     def test_unsatisfiable_margin_raises(self):
@@ -189,6 +189,26 @@ class TestRegroup:
         we2 = essential_numerical_range(moved)
         d = regroup(moved, we2, eps=0.25, depth=6)
         assert verify_conv_free(moved, d, we2) < 1e-9
+
+    def test_decomposition_is_scale_covariant(self, rng):
+        # decompose(c T) must be decompose(T) scaled: the same translation
+        # rule, boundaries and picks for c from 1e-13 to 1e13, with eps
+        # scaled by c (at c = 1e-13 an absolute floor once called a
+        # 4-block cycle a singleton)
+        blocks = [random_matrix(rng, n).entries for n in (2, 3, 2, 3)]
+        runs = []
+        for c in (1e-13, 1.0, 1e13):
+            spec = BlockOperatorSpec((), PeriodicTail(tuple(mat(c * b) for b in blocks)))
+            choice = choose_translation(essential_numerical_range(spec).region)
+            moved = translate_spec(spec, choice.z)
+            d = regroup(moved, essential_numerical_range(moved), eps=c * 1e-2, depth=12)
+            picks = [(p.bucket, p.block_index) for level in d.selections for p in level]
+            runs.append((choice.reason, choice.angular_margin, d.boundaries, picks))
+        for reason, margin, boundaries, picks in runs[::2]:
+            assert reason == runs[1][0] == "diameter_midpoint"
+            assert margin == pytest.approx(runs[1][1], rel=1e-9)
+            assert boundaries == runs[1][2]
+            assert picks == runs[1][3]
 
     def test_scan_cap_raises_with_context(self):
         spec = constant_spec(NILPOTENT)
