@@ -7,11 +7,14 @@ block n of the operator is B_n - shift * I.  Windows of block ranges and
 their stabilised limit superior are sampled as point clouds with explicit
 resolution bookkeeping.
 
-Block ranges are memoised per operator: every spec-level request goes
-through ``BlockOperatorSpec.range_of``, whose FIFO-bounded memo lives on
-the spec, so overlapping tail windows, regroup scans and group ranges of
-one operator compute each distinct block range once.  ``numerical_range``
-itself is pure and keeps no state.
+Blocks and block ranges are memoised per operator, in FIFO-bounded memos
+that live on the spec: ``BlockOperatorSpec.cached_block`` keeps the blocks
+already built, by index, and ``BlockOperatorSpec.range_of`` keeps block
+ranges, by content.  Overlapping tail windows, regroup scans and group
+ranges of one operator therefore build each block once and compute each
+distinct block range once, and the blocks of a periodic tail share their
+ranges across cycles.  ``numerical_range`` itself is pure and keeps no
+state.
 """
 
 from __future__ import annotations
@@ -31,7 +34,7 @@ DEFAULT_EPS = 1e-3
 DEFAULT_K_CAP = 2**20
 _VANISHING_WINDOW_CAP = 256
 # A regroup scan of a non-scalar tail may visit up to scan_cap distinct
-# blocks, at about 28 KB per grid-360 result, so the memo is bounded.
+# blocks, at about 28 KB per grid-360 result, so the memos are bounded.
 _RANGE_MEMO_CAP = 512
 
 
@@ -58,6 +61,15 @@ class _DenseAngleTable:
             p = p[np.gcd(p, q) == 1]
             self._fracs.extend((p / q).tolist())
         return np.asarray(self._fracs[start - 1 : start - 1 + count], dtype=np.float64)
+
+
+def _remember(memo: dict, key, value):
+    """Store ``value`` under ``key``, first evicting the oldest entry if the
+    memo is full; returns ``value``."""
+    if len(memo) >= _RANGE_MEMO_CAP:
+        memo.pop(next(iter(memo)))
+    memo[key] = value
+    return value
 
 
 def _matrix_tuple(mats, what: str) -> tuple[ComplexMatrix, ...]:
@@ -203,6 +215,9 @@ class BlockOperatorSpec:
     _ranges: dict[tuple[bytes, int, float], NumericalRangeResult] = field(
         default_factory=dict, init=False, repr=False, compare=False
     )
+    _blocks: dict[int, ComplexMatrix] = field(
+        default_factory=dict, init=False, repr=False, compare=False
+    )
 
     def __post_init__(self):
         object.__setattr__(self, "prefix", _matrix_tuple(self.prefix, "prefix"))
@@ -232,10 +247,15 @@ class BlockOperatorSpec:
         key = (m.entries.tobytes(), grid, tol)
         hit = self._ranges.get(key)
         if hit is None:
-            hit = numerical_range(m, grid, tol)
-            if len(self._ranges) >= _RANGE_MEMO_CAP:
-                self._ranges.pop(next(iter(self._ranges)))
-            self._ranges[key] = hit
+            hit = _remember(self._ranges, key, numerical_range(m, grid, tol))
+        return hit
+
+    def cached_block(self, n: int) -> ComplexMatrix:
+        """``block(n)``, memoised on the spec by index: a block already
+        built is returned again instead of rebuilt."""
+        hit = self._blocks.get(n)
+        if hit is None:
+            hit = _remember(self._blocks, n, self.block(n))
         return hit
 
     def block(self, n: int) -> ComplexMatrix:
@@ -296,7 +316,7 @@ def _attained_vertices(spec: BlockOperatorSpec, indices, grid: int, tol: float):
     gap = 0.0
     seen: set[bytes] = set()
     for n in indices:
-        blk = spec.block(n)
+        blk = spec.cached_block(n)
         key = blk.entries.tobytes()
         if key in seen:
             continue

@@ -109,7 +109,7 @@ def essential_numerical_range(
     assert inter is not None
     gap = float(hausdorff(region, inter))
 
-    tolerance = lim.cloud.resolution + eps + 1e-9 * max(1.0, spec.norm_bound)
+    tolerance = lim.cloud.resolution + eps + 1e-9 * spec.norm_bound
     _consistency_gate(gap, tolerance, "essential range")
     return EssentialRangeResult(
         region, lim.cloud, gap, lim.certificate, tolerance, lim.converged_at

@@ -6,6 +6,13 @@ W(A) in that direction, and the Rayleigh quotient of its eigenvector is an
 attained boundary point.  The outer region is carved from the support
 values, the inner region is the hull of the attained points, and the gap
 between them bounds the discretisation error.
+
+Antipodal directions share one eigensolve: H(theta + pi) = -H(theta), so
+the support at theta + pi is -lam_min(H(theta)) and the Rayleigh quotient
+of the bottom eigenvector is its attained point.  On an even grid only the
+first half of the directions is solved; the second half is read from the
+smallest eigenpairs of the same matrices.  An odd grid has no antipodal
+pairs, so all of its directions are solved.
 """
 
 from __future__ import annotations
@@ -48,11 +55,14 @@ def numerical_range(
         z = complex(a.entries[0, 0])
         region = ConvexRegion._build(np.array([z]), grid)
         return NumericalRangeResult(region, region, 0.0, np.full(grid, z))
-    th = grid_angles(grid)
-    phases = np.exp(-1j * th)
+    # grid / 2 solves on an even grid, whose rows m + j are the antipodes
+    # j + grid / 2; all grid directions on an odd one
+    solved = grid // (2 - grid % 2)
+    phases = np.exp(-1j * grid_angles(grid)[:solved])
     rot = phases[:, None, None] * a.entries[None, :, :]
     hmats = (rot + rot.conj().transpose(0, 2, 1)) / 2.0
     lams, vecs, _ = max_eigenpairs_batch(hmats, tol)
+    lams, vecs = lams[:grid], vecs[:grid]
     attained = np.einsum("ki,ij,kj->k", vecs.conj(), a.entries, vecs)
     outer = ConvexRegion.from_support(lams, grid)
     inner = ConvexRegion.from_points(attained, grid)

@@ -49,7 +49,8 @@ def inner_approximate(
 
     if spec.tail_is_scalar and start > spec.prefix_len:
         vals = spec.window_values(start, window)
-        idx = np.argpartition(rng.random((samples, window)), 3, axis=1)[:, :3]
+        kth = min(3, window - 1)
+        idx = np.argpartition(rng.random((samples, window)), kth, axis=1)[:, :3]
         raw = rng.exponential(size=(samples, 3))
         wts = raw / raw.sum(axis=1, keepdims=True)
         pts = (wts * vals[idx]).sum(axis=1)
@@ -69,7 +70,7 @@ def inner_approximate(
             out[s] = val
         pts = out
 
-    resolution = 1e-12 * max(1.0, spec.norm_bound)
+    resolution = 1e-12 * spec.norm_bound
     if isinstance(spec.tail, VanishingTail):
         resolution += spec.tail.decay(max(start, spec.prefix_len + 1))
     return PointCloud(pts, resolution)

@@ -193,7 +193,7 @@ def _scan_window(spec: BlockOperatorSpec, target: complex, threshold: float,
             n += cnt
             budget -= cnt
         else:
-            inner = spec.range_of(spec.block(n), grid, tol).inner
+            inner = spec.range_of(spec.cached_block(n), grid, tol).inner
             d = float(inner.distance([target])[0])
             if d < threshold:
                 return n, d

@@ -282,6 +282,25 @@ class TestRangeMemo:
             assert len(spec._ranges) <= _RANGE_MEMO_CAP
         assert len(spec._ranges) == _RANGE_MEMO_CAP
 
+    def test_blocks_are_built_once_per_index(self, monkeypatch):
+        # overlapping windows of a vanishing tail reuse the blocks already
+        # built instead of rebuilding them from their seeded perturbations
+        built = []
+        build = BlockOperatorSpec.block
+
+        def counting(spec, n):
+            built.append(n)
+            return build(spec, n)
+
+        monkeypatch.setattr(BlockOperatorSpec, "block", counting)
+        spec = vanishing_spec([NILPOTENT], c=0.5, p=1.0, seed=3)
+        for start in (1, 129):
+            tail_union(spec, start, grid=8)
+        assert sorted(built) == list(range(1, 385))
+        assert spec.cached_block(200) is spec.cached_block(200)
+        assert len(spec._blocks) <= _RANGE_MEMO_CAP
+        assert translate_spec(spec, 1.0)._blocks == {}
+
     def test_memo_is_invisible_to_equality_hash_and_repr(self):
         spec = two_matrix_spec()
         before = (hash(spec), repr(spec))

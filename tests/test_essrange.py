@@ -93,6 +93,19 @@ class TestExactCases:
         assert res.crosscheck_gap <= res.tolerance
 
 
+class TestScale:
+    def test_tolerance_scales_with_the_operator(self):
+        # eps is absolute, so scaling it along with the operator scales the
+        # whole tolerance: its floating-point floor is relative, no unit floor
+        c = 1e-13
+        base = essential_numerical_range(two_matrix_spec(), eps=1e-3)
+        cycle = tuple(mat(c * m.entries) for m in (NILPOTENT, DIAG23))
+        tiny = essential_numerical_range(BlockOperatorSpec((), PeriodicTail(cycle)), eps=c * 1e-3)
+        assert tiny.tolerance == pytest.approx(c * base.tolerance, rel=1e-9, abs=0)
+        scaled = ConvexRegion.from_points(c * base.region.vertices)
+        assert hausdorff(tiny.region, scaled) <= c * 1e-12
+
+
 class TestTranslation:
     @pytest.mark.parametrize("z", [1.0 + 0j, -2.5j, 0.75 - 0.25j])
     def test_shifting_spec_shifts_region(self, z):

@@ -42,6 +42,14 @@ class TestComplexMatrix:
             assert m == ComplexMatrix(np.ascontiguousarray(arr))
             assert hash(m) == hash(ComplexMatrix(np.ascontiguousarray(arr)))
 
+    def test_bound_check_is_relative(self):
+        # the slack scales with the matrix: no unit floor below unit scale
+        with pytest.raises(ValueError):
+            ComplexMatrix(1e-13 * np.eye(2), norm_bound=1e-20)
+        with pytest.raises(ValueError):
+            ComplexMatrix(1e-13 * np.eye(2), norm_bound=0.99e-13)
+        assert ComplexMatrix(1e-13 * np.eye(2), norm_bound=1e-13).norm_bound == 1e-13
+
     def test_accepts_tighter_valid_bound(self):
         # spectral norm of this rank-1-ish matrix is below Frobenius
         m = ComplexMatrix([[1, 1], [1, 1]], norm_bound=2.0)
@@ -116,15 +124,19 @@ class TestMaxEigenpair:
                 assert got == pytest.approx(want, abs=1e-8)
 
     def test_residual_contract(self, rng):
+        # rows m + i answer -H_i: both halves meet the same residual bound
         tol = 1e-10
         for n in (2, 4, 8, 10):
             batch = np.stack([random_hermitian(rng, n, scale=3.0) for _ in range(100)])
             lams, xs, res = max_eigenpairs_batch(batch, tol)
+            assert lams.shape == res.shape == (200,) and xs.shape == (200, n)
             assert res.max() <= tol
-            # eigen-equation residual recomputed independently
-            hx = np.einsum("mij,mj->mi", batch, xs)
+            # eigen-equation residual recomputed independently, on H and -H
+            signed = np.concatenate([batch, -batch])
+            hx = np.einsum("mij,mj->mi", signed, xs)
             err = np.linalg.norm(hx - lams[:, None] * xs, axis=1)
             assert err.max() <= tol
+            assert np.all(lams[:100] >= -lams[100:])
 
     def test_unreachable_tolerance_raises(self, rng):
         h = random_hermitian(rng, 4)
@@ -132,9 +144,10 @@ class TestMaxEigenpair:
             top_pair(h, tol=1e-30)
 
     def test_batch_matches_charpoly_bisection(self, rng):
+        # top half: lam_max(H); bottom half: lam_max(-H) = -lam_min(H)
         batch = np.stack([random_hermitian(rng, 6) for _ in range(40)])
         lams, _, _ = max_eigenpairs_batch(batch)
-        want = [charpoly_lambda_max(h) for h in batch]
+        want = [charpoly_lambda_max(h) for h in batch] + [charpoly_lambda_max(-h) for h in batch]
         assert np.max(np.abs(lams - want)) < 1e-10
 
     def test_lapack_failure_raises(self, rng, monkeypatch):
@@ -142,6 +155,19 @@ class TestMaxEigenpair:
             raise np.linalg.LinAlgError("Eigenvalues did not converge")
 
         monkeypatch.setattr(np.linalg, "eigh", fail)
+        with pytest.raises(NonConvergence):
+            max_eigenpairs_batch(random_hermitian(rng, 3)[None])
+
+    def test_bottom_pairs_are_certified_too(self, rng, monkeypatch):
+        # a NaN in the smallest eigenvector alone fails the certificate
+        eigh = np.linalg.eigh
+
+        def bad_bottom(h):
+            vals, vecs = eigh(h)
+            vecs[..., 0] = np.nan
+            return vals, vecs
+
+        monkeypatch.setattr(np.linalg, "eigh", bad_bottom)
         with pytest.raises(NonConvergence):
             max_eigenpairs_batch(random_hermitian(rng, 3)[None])
 

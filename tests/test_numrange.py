@@ -1,6 +1,10 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from numpy.testing import assert_allclose
+
+import blockrange.numrange
 
 from blockrange import (
     ComplexMatrix,
@@ -157,6 +161,67 @@ class TestNumericalRange:
         hi = res.outer.support[0]
         assert lo == pytest.approx(1.0, abs=1e-10)
         assert hi == pytest.approx(4.0, abs=1e-10)
+
+
+class TestAntipodalPairs:
+    """H(theta + pi) = -H(theta): an even grid solves half its directions
+    and reads the antipodal half from the bottom eigenpairs; an odd grid
+    solves every direction."""
+
+    @pytest.mark.parametrize("grid, solved", [(360, 180), (8, 4), (91, 91), (3, 3)])
+    def test_eigensolve_sees_half_an_even_grid(self, rng, monkeypatch, grid, solved):
+        seen = []
+        solve = blockrange.numrange.max_eigenpairs_batch
+
+        def counting(mats, tol):
+            seen.append(len(mats))
+            return solve(mats, tol)
+
+        monkeypatch.setattr(blockrange.numrange, "max_eigenpairs_batch", counting)
+        res = numerical_range(random_matrix(rng, 4), grid=grid)
+        assert seen == [solved]
+        assert res.outer.support.shape == res.attained.shape == (grid,)
+
+    @pytest.mark.parametrize("grid", [3, 7, 91])
+    def test_odd_grid_matches_charpoly_oracle(self, rng, grid):
+        a = random_matrix(rng, 4)
+        res = numerical_range(a, grid=grid)
+        th = grid_angles(grid)
+        for j in sorted({*range(0, grid, 13), grid // 2, grid // 2 + 1, grid - 1}):
+            w = np.exp(-1j * th[j])
+            h = (w * a.entries + (w * a.entries).conj().T) / 2
+            assert res.outer.support[j] == pytest.approx(charpoly_lambda_max(h), abs=1e-8)
+        # every attained point lies on its own supporting line
+        on_line = np.real(res.attained * np.exp(-1j * th))
+        assert np.max(np.abs(on_line - res.outer.support)) < 1e-12
+
+    matrices = st.tuples(
+        st.integers(1, 6), st.integers(0, 2**32 - 1), st.integers(-15, 15),
+        st.sampled_from([8, 91, 360]),
+    )
+
+    @staticmethod
+    def check_law(a: np.ndarray, b: np.ndarray, image, grid: int) -> None:
+        """W(B) = image(W(A)), within the two reported gaps."""
+        ra, rb = numerical_range(ComplexMatrix(a), grid), numerical_range(ComplexMatrix(b), grid)
+        slack = ra.gap + rb.gap + 1e-12 * np.linalg.norm(a)
+        for got, want in ((rb.inner, ra.inner), (rb.outer, ra.outer)):
+            moved = ConvexRegion.from_points(image(want.vertices), grid)
+            assert hausdorff(got, moved) <= slack
+
+    @given(matrices)
+    @settings(max_examples=40, deadline=None)
+    def test_negation_law(self, case):
+        n, seed, e, grid = case
+        a = random_matrix(np.random.default_rng(seed), n, scale=10.0**e).entries
+        self.check_law(a, -a, np.negative, grid)
+
+    @given(matrices)
+    @settings(max_examples=40, deadline=None)
+    def test_adjoint_law(self, case):
+        n, seed, e, grid = case
+        a = random_matrix(np.random.default_rng(seed), n, scale=10.0**e).entries
+        self.check_law(a, a.conj().T, np.conj, grid)
 
 
 class TestBlockNumericalRange:

@@ -97,6 +97,20 @@ class TestInnerApproximate:
         assert cloud.resolution >= 1e-2  # decay at the window start
         assert np.abs(cloud.points).max() <= cloud.resolution + 1e-12
 
+    def test_smallest_window_takes_all_three_blocks(self):
+        # a window of three blocks leaves one choice of three distinct blocks,
+        # so with positive weights every sample is strictly inside the triangle
+        pts = inner_approximate(scalar_periodic_spec([0, 1, 1j]), samples=500, window=3).points
+        assert pts.real.min() > 0 and pts.imag.min() > 0
+        assert (pts.real + pts.imag).max() < 1
+
+    def test_resolution_scales_with_the_operator(self):
+        # the floating-point floor is relative to the norm bound: no unit floor
+        values = np.array([0, 1, 1j])
+        base = inner_approximate(scalar_periodic_spec(values), samples=10)
+        tiny = inner_approximate(scalar_periodic_spec(1e-13 * values), samples=10)
+        assert tiny.resolution == pytest.approx(1e-13 * base.resolution, rel=1e-12, abs=0)
+
     def test_window_validation(self):
         with pytest.raises(ValueError):
             inner_approximate(two_matrix_spec(), window=2)
