@@ -44,6 +44,7 @@ from .linalg import ComplexMatrix, rayleigh
 from .numrange import (
     NumericalRangeResult,
     numerical_range,
+    numerical_ranges,
 )
 from .oracle import inner_approximate
 from .regroup import (
@@ -99,6 +100,7 @@ __all__ = [
     "limsup_ranges",
     "nested_conv_exchange",
     "numerical_range",
+    "numerical_ranges",
     "rayleigh",
     "regroup",
     "tail_union",

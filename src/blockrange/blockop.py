@@ -9,12 +9,17 @@ resolution bookkeeping.
 
 Blocks and block ranges are memoised per operator, in FIFO-bounded memos
 that live on the spec: ``BlockOperatorSpec.cached_block`` keeps the blocks
-already built, by index, and ``BlockOperatorSpec.range_of`` keeps block
+already built, by index, and ``BlockOperatorSpec.ranges_of`` keeps block
 ranges, by content.  Overlapping tail windows, regroup scans and group
 ranges of one operator therefore build each block once and compute each
 distinct block range once, and the blocks of a periodic tail share their
 ranges across cycles.  ``numerical_range`` itself is pure and keeps no
 state.
+
+A window asks for all of its block ranges in one request: the ranges not
+yet memoised are computed by ``numerical_ranges``, one stack per block
+dimension, so a tail window costs one eigensolve per dimension rather than
+one per block.
 """
 
 from __future__ import annotations
@@ -28,7 +33,7 @@ import numpy as np
 from .convex2d import DEFAULT_GRID, PointCloud, hausdorff
 from .errors import HorizonTooSmall, NoConvergence, ValidationError
 from .linalg import DEFAULT_EIG_TOL, ComplexMatrix
-from .numrange import NumericalRangeResult, numerical_range
+from .numrange import NumericalRangeResult, numerical_ranges
 
 DEFAULT_EPS = 1e-3
 DEFAULT_K_CAP = 2**20
@@ -244,11 +249,32 @@ class BlockOperatorSpec:
     def range_of(self, m: ComplexMatrix, grid: int, tol: float) -> NumericalRangeResult:
         """``numerical_range(m, grid, tol)`` of a block of this operator,
         memoised on the spec: a repeated request returns the same object."""
-        key = (m.entries.tobytes(), grid, tol)
-        hit = self._ranges.get(key)
-        if hit is None:
-            hit = _remember(self._ranges, key, numerical_range(m, grid, tol))
-        return hit
+        return self.ranges_of((m,), grid, tol)[0]
+
+    def ranges_of(self, blocks, grid: int, tol: float) -> list[NumericalRangeResult]:
+        """``numerical_range(m, grid, tol)`` of every block ``m`` of
+        ``blocks``, in order, memoised on the spec.
+
+        Memoised ranges are returned as they are; the others are computed
+        by ``numerical_ranges``, one request per block dimension, and
+        memoised in the order of their first appearance in ``blocks``.
+        """
+        blocks = list(blocks)
+        keys = [(m.entries.tobytes(), grid, tol) for m in blocks]
+        found = {k: self._ranges[k] for k in keys if k in self._ranges}
+        missing: dict = {}
+        for k, m in zip(keys, blocks):
+            if k not in found:
+                missing.setdefault(k, m)
+        by_dim: dict[int, list] = {}
+        for k, m in missing.items():
+            by_dim.setdefault(m.dim, []).append(k)
+        for dim_keys in by_dim.values():
+            results = numerical_ranges([missing[k] for k in dim_keys], grid, tol)
+            found.update(zip(dim_keys, results))
+        for k in missing:
+            _remember(self._ranges, k, found[k])
+        return [found[k] for k in keys]
 
     def cached_block(self, n: int) -> ComplexMatrix:
         """``block(n)``, memoised on the spec by index: a block already
@@ -310,33 +336,27 @@ class BlockOperatorSpec:
         return out - self.shift
 
 
+def _inner_vertices(results: list[NumericalRangeResult]):
+    """Attained-boundary vertices of each range, and the worst sandwich gap."""
+    return [r.inner.vertices for r in results], max([0.0, *(r.gap for r in results)])
+
+
 def _attained_vertices(spec: BlockOperatorSpec, indices, grid: int, tol: float):
-    """Attained-boundary vertices and worst sandwich gap over distinct blocks."""
-    pts = []
-    gap = 0.0
-    seen: set[bytes] = set()
+    """Attained-boundary vertices and worst sandwich gap over the distinct
+    blocks of a window, in the order of their first appearance; the
+    window's ranges are one request to the spec."""
+    distinct: dict[bytes, ComplexMatrix] = {}
     for n in indices:
         blk = spec.cached_block(n)
-        key = blk.entries.tobytes()
-        if key in seen:
-            continue
-        seen.add(key)
-        res = spec.range_of(blk, grid, tol)
-        pts.append(res.inner.vertices)
-        gap = max(gap, res.gap)
-    return pts, gap
+        distinct.setdefault(blk.entries.tobytes(), blk)
+    return _inner_vertices(spec.ranges_of(list(distinct.values()), grid, tol))
 
 
 def _limit_vertices(spec: BlockOperatorSpec, grid: int, tol: float):
     """Attained-boundary vertices and worst sandwich gap of the shifted limit
     blocks of a vanishing tail, one range per limit block."""
-    pts = []
-    gap = 0.0
-    for lim in spec.tail.limits:
-        res = spec.range_of(spec.apply_shift(lim), grid, tol)
-        pts.append(res.inner.vertices)
-        gap = max(gap, res.gap)
-    return pts, gap
+    limits = [spec.apply_shift(lim) for lim in spec.tail.limits]
+    return _inner_vertices(spec.ranges_of(limits, grid, tol))
 
 
 def _circle_covering_radius(values: np.ndarray) -> float:

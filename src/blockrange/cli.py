@@ -427,7 +427,8 @@ def build_parser() -> argparse.ArgumentParser:
     common.add_argument("--angles", type=int, default=360,
                         help="angle grid size (default 360)")
     common.add_argument("--eps", type=float, default=1e-3,
-                        help="stabilisation / scan threshold (default 1e-3)")
+                        help="stabilisation / scan threshold, an absolute distance "
+                        "in the operator's units, not scaled by its norm (default 1e-3)")
     common.add_argument("--horizon", type=int, default=None,
                         help="tail window length override")
     common.add_argument("--k-cap", type=int, default=2**20, dest="k_cap",

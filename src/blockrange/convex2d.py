@@ -21,6 +21,15 @@ it enters and leaves the other polygon, and the pieces of the edges,
 ordered by normal angle, form the boundary of the intersection as a ring
 that certifies itself the same way.
 
+The certificate, the fans, the support lookups and the region-region
+Hausdorff distance also run on stacks of polygons with one polygon per
+row (the block ranges of a tail window), and give each row exactly the
+numbers that the polygon alone gives.  To that end they take complex
+products with ``np.multiply`` rather than ``*``: numpy computes ``*`` on
+a large temporary operand in place, and its in-place complex product
+rounds differently, so the same row would round differently in a large
+stack than alone.
+
 Any other point set takes one vectorised hull.  The points near the
 boundary survive a filter by the polygon of ten extreme points (Akl and
 Toussaint 1978) and an angular scan about its centroid, and coincident
@@ -53,11 +62,15 @@ def grid_angles(k: int) -> np.ndarray:
 def _snap(pts: np.ndarray) -> np.ndarray:
     """Round onto a grid of 1e-14 times the largest modulus; equal snaps
     coincide.  The grid scales with the points, so W(cA) = c W(A) keeps its
-    vertices at any c; points that are all zero come back as they are."""
-    eps = 1e-14 * float(np.abs(pts).max())
-    if not eps > 0.0:
-        return pts
-    return np.round(pts.real / eps) * eps + 1j * (np.round(pts.imag / eps) * eps)
+    vertices at any c; points that are all zero come back as they are.
+    Each row of a stack of point sets is snapped on its own grid."""
+    eps = 1e-14 * np.abs(pts).max(axis=-1, keepdims=True)
+    live = eps > 0.0
+    every = live.all()
+    if not every:
+        eps = np.where(live, eps, 1.0)
+    snapped = np.round(pts.real / eps) * eps + 1j * (np.round(pts.imag / eps) * eps)
+    return snapped if every else np.where(live, snapped, pts)
 
 
 def _merge_coincident(pts: np.ndarray) -> np.ndarray:
@@ -72,8 +85,10 @@ def _turns(o: np.ndarray, v: np.ndarray, b: np.ndarray) -> np.ndarray:
 
 
 def _neighbours(ring: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Each vertex's predecessor and successor on the closed ``ring``."""
-    return np.concatenate((ring[-1:], ring[:-1])), np.concatenate((ring[1:], ring[:1]))
+    """Each vertex's predecessor and successor on the closed ``ring`` (on
+    each row of a stack of rings)."""
+    return (np.concatenate((ring[..., -1:], ring[..., :-1]), axis=-1),
+            np.concatenate((ring[..., 1:], ring[..., :1]), axis=-1))
 
 
 def _ordered_hull(pts: np.ndarray) -> np.ndarray | None:
@@ -91,17 +106,38 @@ def _ordered_hull(pts: np.ndarray) -> np.ndarray | None:
     v = pts[np.concatenate(([pts[0] != pts[-1]], pts[1:] != pts[:-1]))]
     if v.size < 3:
         return None
-    o, b = _neighbours(v)
-    if not np.all(_turns(o, v, b) > 0.0):
-        return None
-    if np.angle((b - v) * (v - o).conj()).sum() > 3.0 * np.pi:
-        return None
-    snapped = np.sort(_snap(v))
-    if np.any(snapped[1:] == snapped[:-1]):
-        return None
-    # numpy orders complex numbers lexicographically
-    k = int(np.argmin(v))
-    return np.concatenate((v[k:], v[:k]))
+    return _from_smallest(v) if _ordered_rows(v) else None
+
+
+def _ordered_rows(pts: np.ndarray) -> np.ndarray:
+    """``_ordered_hull``'s test on every row of a stack of polygons at once:
+    which rows are strictly convex CCW polygons.  A row with a repeated
+    consecutive point fails, since its turn there is exactly zero."""
+    rows = pts.reshape(-1, pts.shape[-1])
+    o, b = _neighbours(rows)
+    ok = np.all(_turns(o, rows, b) > 0.0, axis=1)
+    # each test runs on the rows that passed the ones before it (on all of
+    # them through a view, not a copy, when all passed)
+    if ok.any():
+        live = slice(None) if ok.all() else ok
+        turn = np.multiply(b[live] - rows[live], (rows[live] - o[live]).conj())
+        ok[live] = np.angle(turn).sum(axis=1) <= 3.0 * np.pi
+    if ok.any():
+        live = slice(None) if ok.all() else ok
+        snapped = np.sort(_snap(rows[live]), axis=1)
+        ok[live] = ~np.any(snapped[:, 1:] == snapped[:, :-1], axis=1)
+    return ok.reshape(pts.shape[:-1])
+
+
+def _from_smallest(rows: np.ndarray) -> np.ndarray:
+    """The polygon, or each row of a stack of polygons, rotated to start at
+    its lexicographically smallest point, the canonical order of every
+    hull (numpy orders complex numbers lexicographically)."""
+    k = np.argmin(rows, axis=-1)
+    if rows.ndim == 1:
+        return np.concatenate((rows[k:], rows[:k]))
+    size = rows.shape[-1]
+    return np.take_along_axis(rows, (k[:, None] + np.arange(size)) % size, axis=1)
 
 
 def _drop_reflex(ring: np.ndarray, fixed: np.ndarray | None = None) -> np.ndarray:
@@ -230,35 +266,69 @@ def _fan(v: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     increase over one full turn even where rounding makes two edges look
     parallel.  Vertex ``edges[i]`` supports exactly the directions from
     normal i-1 to normal i.
+
+    For a stack of polygons (the rows of ``v``), as ``_ordered_rows``
+    certifies them, every edge must have nonzero length: the edge indices
+    are then shared by all rows and the angles come one row per polygon.
     """
-    e = np.concatenate((v[1:], v[:1])) - v
-    edges = np.flatnonzero(e)
-    d = e[edges]
-    turns = np.abs(np.angle(d[1:] * d[:-1].conj()))
-    normals = np.angle(d[:1]) - 0.5 * np.pi
-    return edges, np.concatenate((normals, normals + np.cumsum(turns)))
+    e = np.concatenate((v[..., 1:], v[..., :1]), axis=-1) - v
+    edges = np.flatnonzero(e) if e.ndim == 1 else np.arange(e.shape[-1])
+    d = e[..., edges]
+    turns = np.abs(np.angle(np.multiply(d[..., 1:], d[..., :-1].conj())))
+    normals = np.angle(d[..., :1]) - 0.5 * np.pi
+    return edges, np.concatenate((normals, normals + np.cumsum(turns, axis=-1)), axis=-1)
+
+
+def _search_right(a: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """``np.searchsorted(a, v, side="right")`` on every row of the sorted
+    rows ``a`` with the queries of the same row of ``v``.  numpy has no
+    row-wise search, and offsetting the rows to search them as one would
+    round their values, so the rows are searched one by one."""
+    if a.ndim == 1:
+        return np.searchsorted(a, v, side="right")
+    out = np.empty(v.shape, dtype=np.intp)
+    for i, (row, queries) in enumerate(zip(a, v)):
+        out[i] = np.searchsorted(row, queries, side="right")
+    return out
 
 
 def _supporting(fan: tuple[np.ndarray, np.ndarray], phi: np.ndarray) -> np.ndarray:
     """Index of the vertex that maximises Re(x e^{-i phi}) over the polygon
-    with normal fan ``fan``, for each direction angle in ``phi``."""
+    with normal fan ``fan``, for each direction angle in ``phi`` (per row,
+    for the fan of a stack of polygons)."""
     edges, normals = fan
     if edges.size == 0:
         return np.zeros(phi.shape, dtype=np.intp)
-    t = np.mod(phi - normals[0], 2.0 * np.pi)
-    return edges[np.searchsorted(normals - normals[0], t, side="right") % edges.size]
+    first = normals[..., :1]
+    t = np.mod(phi - first, 2.0 * np.pi)
+    return edges[_search_right(normals - first, t) % edges.size]
 
 
 def _arcs(*angles: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Start and end of the arcs that the given breakpoint angles, and 0,
-    cut the circle into; the arcs cover one full turn."""
-    start = np.sort(np.mod(np.concatenate((np.zeros(1), *angles)), 2.0 * np.pi))
-    return start, np.append(start[1:], start[0] + 2.0 * np.pi)
+    cut the circle into; the arcs cover one full turn (on each row)."""
+    zero = np.zeros(angles[0].shape[:-1] + (1,))
+    start = np.sort(np.mod(np.concatenate((zero, *angles), axis=-1), 2.0 * np.pi), axis=-1)
+    return start, np.concatenate((start[..., 1:], start[..., :1] + 2.0 * np.pi), axis=-1)
 
 
-def _supports_of(vertices: np.ndarray, k: int) -> np.ndarray:
+def _supports_of(vertices: np.ndarray, k: int, fan=None) -> np.ndarray:
+    """Grid support values of a polygon, or of each row of a stack of
+    polygons, through its normal fan (computed when not given)."""
     th = grid_angles(k)
-    return np.real(vertices[_supporting(_fan(vertices), th)] * np.exp(1j * th).conj())
+    idx = _supporting(_fan(vertices) if fan is None else fan, th)
+    return np.real(np.multiply(np.take_along_axis(vertices, idx, axis=-1), np.exp(1j * th).conj()))
+
+
+def _support_vertices(h: np.ndarray, th: np.ndarray) -> np.ndarray:
+    """Crossings of the supporting lines of consecutive grid directions
+    ``th``, for the support values ``h`` (one row per region)."""
+    th_next = np.append(th[1:], 2.0 * np.pi)
+    h_next = np.concatenate((h[..., 1:], h[..., :1]), axis=-1)
+    det = np.sin(th_next - th)
+    vx = (h * np.sin(th_next) - h_next * np.sin(th)) / det
+    vy = (h_next * np.cos(th) - h * np.cos(th_next)) / det
+    return vx + 1j * vy
 
 
 @dataclass(frozen=True)
@@ -335,14 +405,7 @@ class ConvexRegion:
         k = h.size if grid is None else grid
         if h.size != k:
             raise ValueError(f"support has {h.size} entries, expected {k}")
-        th = grid_angles(k)
-        th_next = np.append(th[1:], 2.0 * np.pi)
-        h_next = np.append(h[1:], h[:1])
-        det = np.sin(th_next - th)
-        vx = (h * np.sin(th_next) - h_next * np.sin(th)) / det
-        vy = (h_next * np.cos(th) - h * np.cos(th_next)) / det
-        cand = vx + 1j * vy
-        return cls._build(_hull_vertices(cand), k)
+        return cls._build(_hull_vertices(_support_vertices(h, grid_angles(k))), k)
 
     # -- basic geometry --------------------------------------------------
 
@@ -412,16 +475,23 @@ def _cloud_points(x) -> np.ndarray:
 
 
 def _region_hausdorff(a: ConvexRegion, b: ConvexRegion) -> float:
-    fa, fb = _fan(a.vertices), _fan(b.vertices)
+    va, vb = a.vertices, b.vertices
+    return float(_fan_hausdorff(va, _fan(va), vb, _fan(vb)))
+
+
+def _fan_hausdorff(va, fa, vb, fb):
+    """Hausdorff distance of the polygons ``va`` and ``vb`` with normal fans
+    ``fa`` and ``fb``, or of each pair of rows of two stacks of polygons."""
     start, end = _arcs(fa[1], fb[1])
     mid = 0.5 * (start + end)
-    diff = a.vertices[_supporting(fa, mid)] - b.vertices[_supporting(fb, mid)]
-    rot = np.exp(-1j * np.append(start, end[-1]))
-    ends = np.maximum(np.abs(np.real(diff * rot[:-1])), np.abs(np.real(diff * rot[1:])))
+    diff = (np.take_along_axis(va, _supporting(fa, mid), axis=-1)
+            - np.take_along_axis(vb, _supporting(fb, mid), axis=-1))
+    rot = np.exp(-1j * np.concatenate((start, end[..., -1:]), axis=-1))
+    ends = np.maximum(np.abs(np.real(diff * rot[..., :-1])), np.abs(np.real(diff * rot[..., 1:])))
     # |Re(diff e^{-i phi})| peaks at |diff| where phi = arg(diff) mod pi
     peak = np.angle(diff)
     peak = peak + np.pi * np.ceil((start - peak) / np.pi)
-    return float(np.where(peak <= end, np.abs(diff), ends).max())
+    return np.where(peak <= end, np.abs(diff), ends).max(axis=-1)
 
 
 def hausdorff(a, b) -> float:

@@ -170,14 +170,21 @@ def _bucket_targets(ext: np.ndarray, m: int) -> list[tuple[int, complex]]:
     return filled
 
 
-def _scan_window(spec: BlockOperatorSpec, target: complex, threshold: float,
+def _scan_window(spec: BlockOperatorSpec, targets: np.ndarray, j: int,
+                 distances: dict[bytes, np.ndarray], threshold: float,
                  start: int, cap: int, grid: int, tol: float):
     """First block index n >= start whose range passes within ``threshold``
-    of ``target``, or None after examining ``cap`` blocks.
+    of ``targets[j]``, or None after examining ``cap`` blocks.
 
     Uses the attained (inner) polygon of each block range, so a hit
-    certifies a genuine numerical-range point near the target.
+    certifies a genuine numerical-range point near the target.  The scan
+    goes block by block, so no range past the hit is computed, but the
+    first visit to a block measures its inner polygon's distance to every
+    target of the level at once: ``distances`` keeps those, keyed by the
+    block's entries, for the other targets of the level, which meet the
+    same blocks again when the tail repeats.
     """
+    target = targets[j]
     n = start
     budget = cap
     p = spec.prefix_len
@@ -193,8 +200,11 @@ def _scan_window(spec: BlockOperatorSpec, target: complex, threshold: float,
             n += cnt
             budget -= cnt
         else:
-            inner = spec.range_of(spec.cached_block(n), grid, tol).inner
-            d = float(inner.distance([target])[0])
+            blk = spec.cached_block(n)
+            key = blk.entries.tobytes()
+            if key not in distances:
+                distances[key] = spec.range_of(blk, grid, tol).inner.distance(targets)
+            d = float(distances[key][j])
             if d < threshold:
                 return n, d
             n += 1
@@ -236,8 +246,12 @@ def regroup(
     for m in range(1, depth + 1):
         threshold = eps / m
         picks: list[GroupSelection] = []
-        for j, target in _bucket_targets(ext, m):
-            hit = _scan_window(spec, target, threshold, cursor + 1, scan_cap, grid, tol)
+        buckets = _bucket_targets(ext, m)
+        targets = np.array([target for _, target in buckets])
+        distances: dict[bytes, np.ndarray] = {}
+        for j, target in buckets:
+            hit = _scan_window(spec, targets, j, distances, threshold, cursor + 1,
+                               scan_cap, grid, tol)
             if hit is None:
                 raise ScanExhausted(m, j, target, scan_cap)
             cursor, dist = hit

@@ -21,6 +21,7 @@ from blockrange import (
     tail_union,
     translate_spec,
 )
+import blockrange.numrange
 from blockrange.blockop import _RANGE_MEMO_CAP
 
 from helpers import (
@@ -300,6 +301,31 @@ class TestRangeMemo:
         assert spec.cached_block(200) is spec.cached_block(200)
         assert len(spec._blocks) <= _RANGE_MEMO_CAP
         assert translate_spec(spec, 1.0)._blocks == {}
+
+    def test_one_eigensolve_per_window(self, monkeypatch):
+        # a vanishing tail of one 3x3 limit and two scalar limits: the limits
+        # are one request, each window another, and a window overlapping an
+        # earlier one solves only its new 3x3 blocks
+        solved = []
+        solve = blockrange.numrange.max_eigenpairs_batch
+
+        def counting(mats, tol):
+            solved.append(len(mats))
+            return solve(mats, tol)
+
+        monkeypatch.setattr(blockrange.numrange, "max_eigenpairs_batch", counting)
+        upper = [[0.0, 1.0, 0.5], [0.0, 0.5j, 1.0], [0.0, 0.0, -0.5]]
+        spec = vanishing_spec([upper, [[0.5]], [[1j]]], c=0.5, p=1.0, seed=3)
+        limsup_ranges(spec, grid=8)
+        assert solved == [4]  # one block, half of the 8 directions
+        solved.clear()
+        tail_union(spec, 1, grid=8)
+        # blocks 1, 4, ..., 256 are the 3x3 ones
+        assert solved == [4 * 86]
+        solved.clear()
+        tail_union(spec, 129, grid=8)
+        # blocks 129 .. 384 overlap the first window up to 256
+        assert solved == [4 * len(range(259, 385, 3))]
 
     def test_memo_is_invisible_to_equality_hash_and_repr(self):
         spec = two_matrix_spec()

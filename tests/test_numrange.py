@@ -9,9 +9,11 @@ import blockrange.numrange
 from blockrange import (
     ComplexMatrix,
     ConvexRegion,
+    ValidationError,
     grid_angles,
     hausdorff,
     numerical_range,
+    numerical_ranges,
     rayleigh,
 )
 
@@ -222,6 +224,89 @@ class TestAntipodalPairs:
         n, seed, e, grid = case
         a = random_matrix(np.random.default_rng(seed), n, scale=10.0**e).entries
         self.check_law(a, a.conj().T, np.conj, grid)
+
+
+def _hexes(res) -> list[list[str]]:
+    """Every number of a range result, as float.hex strings."""
+    arrays = (res.outer.vertices, res.outer.support, res.inner.vertices,
+              res.inner.support, res.attained, np.array([res.gap]))
+    return [[x.hex() for x in np.asarray(a).view(np.float64).tolist()] for a in arrays]
+
+
+class TestStackedRanges:
+    """``numerical_ranges`` computes a stack of blocks in array passes; each
+    row must be bit for bit what ``numerical_range`` gives for that block
+    alone, whether the row certifies its polygons as their own hulls or
+    falls back to the general hull."""
+
+    @staticmethod
+    def block(kind: int, n: int, seed: int, scale: float) -> ComplexMatrix:
+        rng = np.random.default_rng(seed)
+        if kind == 0:
+            return random_matrix(rng, n, scale=scale)
+        # a diagonal or unitarily diagonal (normal) block: W is a polygon,
+        # and attained points repeat at its corners
+        d = scale * (rng.standard_normal(n) + 1j * rng.standard_normal(n))
+        u = random_unitary(rng, n) if kind == 2 else np.eye(n)
+        return ComplexMatrix(u @ np.diag(d) @ u.conj().T)
+
+    stacks = st.tuples(
+        st.integers(1, 6),
+        st.lists(st.tuples(st.integers(0, 2), st.integers(0, 2**32 - 1), st.integers(-15, 15)),
+                 min_size=1, max_size=6),
+        st.sampled_from([3, 8, 91, 360]),
+    )
+
+    @given(stacks)
+    @settings(max_examples=60, deadline=None)
+    def test_rows_equal_single_ranges(self, case):
+        n, rows, grid = case
+        mats = [self.block(kind, n, seed, 10.0**e) for kind, seed, e in rows]
+        stacked = numerical_ranges(mats, grid)
+        assert len(stacked) == len(mats)
+        for m, res in zip(mats, stacked):
+            assert _hexes(res) == _hexes(numerical_range(m, grid))
+
+    def test_stack_mixes_certified_and_fallback_rows(self, rng, monkeypatch):
+        # only rows whose polygons fail the ordered-hull certificate take the
+        # one-row hausdorff; the diagonal rows here do, the random ones not
+        fallback = []
+        single = blockrange.numrange.hausdorff
+
+        def counting(a, b):
+            fallback.append(a)
+            return single(a, b)
+
+        monkeypatch.setattr(blockrange.numrange, "hausdorff", counting)
+        mats = [random_matrix(rng, 3), ComplexMatrix(np.diag([1.0, 1j, -1.0])),
+                random_matrix(rng, 3), ComplexMatrix(np.diag([2.0, -1j, 0.5]))]
+        stacked = numerical_ranges(mats, 360)
+        hulled = [i for i, r in enumerate(stacked) if any(r.inner is f for f in fallback)]
+        assert hulled == [1, 3] and len(fallback) == 2
+
+    def test_large_stacks_are_split(self, rng, monkeypatch):
+        # a stack is solved in pieces of at most _STACK_ENTRIES entries
+        seen = []
+        solve = blockrange.numrange.max_eigenpairs_batch
+
+        def counting(mats, tol):
+            seen.append(mats.size)
+            return solve(mats, tol)
+
+        monkeypatch.setattr(blockrange.numrange, "max_eigenpairs_batch", counting)
+        monkeypatch.setattr(blockrange.numrange, "_STACK_ENTRIES", 3 * 180 * 16)
+        mats = [random_matrix(rng, 4) for _ in range(7)]
+        stacked = numerical_ranges(mats, 360)
+        assert seen == [3 * 180 * 16, 3 * 180 * 16, 180 * 16]
+        assert [_hexes(r) for r in stacked] == [_hexes(numerical_range(m, 360)) for m in mats]
+
+    def test_bad_input_rejected(self):
+        with pytest.raises(ValueError):
+            numerical_ranges([NILPOTENT, ComplexMatrix([[1.0]])])
+        for grid in (0, 2):
+            with pytest.raises(ValidationError):
+                numerical_ranges([NILPOTENT], grid)
+        assert numerical_ranges([]) == []
 
 
 class TestBlockNumericalRange:
