@@ -9,12 +9,12 @@ resolution bookkeeping.
 
 Blocks and block ranges are memoised per operator, in FIFO-bounded memos
 that live on the spec: ``BlockOperatorSpec.cached_block`` keeps the blocks
-already built, by index, and ``BlockOperatorSpec.ranges_of`` keeps block
-ranges, by content.  Overlapping tail windows, regroup scans and group
-ranges of one operator therefore build each block once and compute each
-distinct block range once, and the blocks of a periodic tail share their
-ranges across cycles.  ``numerical_range`` itself is pure and keeps no
-state.
+already built, by the first index that has the same block (so a periodic
+tail builds each cycle position once), and ``BlockOperatorSpec.ranges_of``
+keeps block ranges, by content.  Overlapping tail windows, regroup scans
+and group ranges of one operator therefore build each block once and
+compute each distinct block range once.  ``numerical_range`` itself is
+pure and keeps no state.
 
 A window asks for all of its block ranges in one request: the ranges not
 yet memoised are computed by ``numerical_ranges``, one stack per block
@@ -77,6 +77,13 @@ def _remember(memo: dict, key, value):
     return value
 
 
+def _shifted(m: ComplexMatrix, shift: complex) -> ComplexMatrix:
+    """The block ``m - shift * I``; ``m`` itself for a zero shift."""
+    if shift == 0:
+        return m
+    return ComplexMatrix(m.entries - shift * np.eye(m.dim))
+
+
 def _matrix_tuple(mats, what: str) -> tuple[ComplexMatrix, ...]:
     out = tuple(mats)
     for m in out:
@@ -98,8 +105,10 @@ class PeriodicTail:
             raise ValidationError("periodic tail needs a non-empty cycle")
         object.__setattr__(self, "cycle", cyc)
 
-    def base_block(self, pos: int, n: int) -> ComplexMatrix:
-        return self.cycle[pos % len(self.cycle)]
+    def block(self, pos: int, n: int, shift: complex) -> ComplexMatrix:
+        """Block at 0-based tail position ``pos`` (1-based index ``n``),
+        minus ``shift`` times the identity."""
+        return _shifted(self.cycle[pos % len(self.cycle)], shift)
 
     @property
     def norm_bound(self) -> float:
@@ -151,10 +160,15 @@ class VanishingTail:
             return np.zeros((dim, dim), dtype=np.complex128)
         return (amp / nrm) * e
 
-    def base_block(self, pos: int, n: int) -> ComplexMatrix:
+    def block(self, pos: int, n: int, shift: complex) -> ComplexMatrix:
+        """Block at 0-based tail position ``pos`` (1-based index ``n``),
+        minus ``shift`` times the identity: the perturbed and shifted
+        entries are validated once, as one matrix."""
         base = self.limits[pos % len(self.limits)]
-        pert = self.perturbation(n, base.dim)
-        return ComplexMatrix(base.entries + pert)
+        entries = base.entries + self.perturbation(n, base.dim)
+        if shift != 0:
+            entries = entries - shift * np.eye(base.dim)
+        return ComplexMatrix(entries)
 
     @property
     def norm_bound(self) -> float:
@@ -195,8 +209,10 @@ class BuiltinTail:
         fr = self._angles.fractions(pos + 1, count)
         return np.exp(2j * np.pi * fr)
 
-    def base_block(self, pos: int, n: int) -> ComplexMatrix:
-        return ComplexMatrix(self.values(pos, 1).reshape(1, 1))
+    def block(self, pos: int, n: int, shift: complex) -> ComplexMatrix:
+        """Block at 0-based tail position ``pos`` (1-based index ``n``),
+        minus ``shift`` times the identity."""
+        return _shifted(ComplexMatrix(self.values(pos, 1).reshape(1, 1)), shift)
 
     @property
     def norm_bound(self) -> float:
@@ -242,9 +258,7 @@ class BlockOperatorSpec:
         return max(bounds) + abs(self.shift)
 
     def apply_shift(self, m: ComplexMatrix) -> ComplexMatrix:
-        if self.shift == 0:
-            return m
-        return ComplexMatrix(m.entries - self.shift * np.eye(m.dim))
+        return _shifted(m, self.shift)
 
     def range_of(self, m: ComplexMatrix, grid: int, tol: float) -> NumericalRangeResult:
         """``numerical_range(m, grid, tol)`` of a block of this operator,
@@ -277,8 +291,12 @@ class BlockOperatorSpec:
         return [found[k] for k in keys]
 
     def cached_block(self, n: int) -> ComplexMatrix:
-        """``block(n)``, memoised on the spec by index: a block already
-        built is returned again instead of rebuilt."""
+        """``block(n)``, memoised on the spec by the first index that has
+        the same block: a block already built is returned again instead of
+        rebuilt, and a periodic tail builds each cycle position once."""
+        p = len(self.prefix)
+        if n > p and isinstance(self.tail, PeriodicTail):
+            n = p + 1 + (n - p - 1) % len(self.tail.cycle)
         hit = self._blocks.get(n)
         if hit is None:
             hit = _remember(self._blocks, n, self.block(n))
@@ -289,11 +307,8 @@ class BlockOperatorSpec:
         if n < 1:
             raise ValidationError(f"block indices are 1-based, got {n}")
         if n <= len(self.prefix):
-            base = self.prefix[n - 1]
-        else:
-            pos = n - len(self.prefix) - 1
-            base = self.tail.base_block(pos, n)
-        return self.apply_shift(base)
+            return self.apply_shift(self.prefix[n - 1])
+        return self.tail.block(n - len(self.prefix) - 1, n, self.shift)
 
     @property
     def tail_is_scalar(self) -> bool:

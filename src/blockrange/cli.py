@@ -63,14 +63,20 @@ EXIT_INCONSISTENT = 4
 # -- spec (de)serialisation --------------------------------------------
 
 
+def _number(obj, where: str) -> float:
+    """A JSON number as a float; an integer too large for one is rejected."""
+    if not isinstance(obj, (int, float)) or isinstance(obj, bool):
+        raise ValidationError(f"{where}: expected a number, got {obj!r}")
+    try:
+        return float(obj)
+    except OverflowError as exc:
+        raise ValidationError(f"{where}: {exc}") from exc
+
+
 def _complex_from_pair(obj, where: str) -> complex:
-    if (
-        not isinstance(obj, (list, tuple))
-        or len(obj) != 2
-        or not all(isinstance(v, (int, float)) and not isinstance(v, bool) for v in obj)
-    ):
+    if not isinstance(obj, (list, tuple)) or len(obj) != 2:
         raise ValidationError(f"{where}: expected a [re, im] pair, got {obj!r}")
-    return complex(obj[0], obj[1])
+    return complex(_number(obj[0], where), _number(obj[1], where))
 
 
 def _matrix_from_json(obj, where: str) -> ComplexMatrix:
@@ -98,6 +104,8 @@ def _matrix_to_json(m: ComplexMatrix) -> list:
 
 
 def _require_keys(obj: dict, allowed: set[str], required: set[str], where: str) -> None:
+    if not isinstance(obj, dict):
+        raise ValidationError(f"{where}: expected an object, got {obj!r}")
     extra = set(obj) - allowed
     if extra:
         raise ValidationError(f"{where}: unknown keys {sorted(extra)}")
@@ -110,9 +118,10 @@ def parse_spec_dict(doc) -> BlockOperatorSpec:
     if not isinstance(doc, dict):
         raise ValidationError("operator document must be a JSON object")
     _require_keys(doc, {"prefix", "tail", "shift"}, {"tail"}, "document")
-    prefix = tuple(
-        _matrix_from_json(m, f"prefix[{i}]") for i, m in enumerate(doc.get("prefix", []))
-    )
+    prefix_doc = doc.get("prefix", [])
+    if not isinstance(prefix_doc, list):
+        raise ValidationError("prefix: expected a list of matrices")
+    prefix = tuple(_matrix_from_json(m, f"prefix[{i}]") for i, m in enumerate(prefix_doc))
     tail_doc = doc["tail"]
     if not isinstance(tail_doc, dict) or "kind" not in tail_doc:
         raise ValidationError("tail: expected an object with a 'kind' key")
@@ -141,16 +150,11 @@ def parse_spec_dict(doc) -> BlockOperatorSpec:
                 raise ValidationError(
                     f"tail.decay.type: only 'power' is supported, got {decay['type']!r}"
                 )
-            c, p = float(decay["c"]), float(decay["p"])
+            c, p = _number(decay["c"], "tail.decay.c"), _number(decay["p"], "tail.decay.p")
         seed = tail_doc.get("seed", 0)
         if not isinstance(seed, int):
             raise ValidationError("tail.seed: expected an integer")
-        try:
-            tail = VanishingTail(lims, c, p, seed)
-        except ValidationError:
-            raise
-        except (TypeError, ValueError) as exc:
-            raise ValidationError(f"tail: {exc}") from exc
+        tail = VanishingTail(lims, c, p, seed)
     elif kind == "builtin":
         _require_keys(tail_doc, {"kind", "name"}, {"name"}, "tail")
         tail = BuiltinTail(str(tail_doc["name"]))

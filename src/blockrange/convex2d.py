@@ -37,6 +37,13 @@ survivors merge.  Graham's scan without the stack (Graham
 1972), run on Andrew's lexicographic ring, then deletes in each numpy
 pass the vertices that do not turn strictly left.  The ring it leaves
 certifies itself.
+
+All of the above is numpy alone.  Only the distances between two point
+clouds (``hausdorff`` of two clouds, which the doubling stop rule of a
+dense tail takes, and ``nested_conv_exchange``) search nearest neighbours,
+by scipy's kd-tree; scipy is imported at the first such comparison, so
+that importing the package, and every pipeline that compares no clouds,
+leaves it unloaded.
 """
 
 from __future__ import annotations
@@ -44,7 +51,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.spatial import cKDTree
 
 from .errors import EmptyInput, EmptyIntersection, NotNested, ValidationError
 
@@ -474,6 +480,18 @@ def _cloud_points(x) -> np.ndarray:
     return x.points if isinstance(x, PointCloud) else np.asarray(x, complex).ravel()
 
 
+def _nearest(ref: np.ndarray, query: np.ndarray) -> np.ndarray:
+    """Distance from each point of ``query`` to the nearest point of ``ref``
+    (complex arrays), by a kd-tree on ``ref``.  scipy is imported here, so
+    that only the comparison of two clouds loads it."""
+    from scipy.spatial import cKDTree
+
+    def xy(pts):
+        return np.column_stack((pts.real, pts.imag))
+
+    return cKDTree(xy(ref)).query(xy(query))[0]
+
+
 def _region_hausdorff(a: ConvexRegion, b: ConvexRegion) -> float:
     va, vb = a.vertices, b.vertices
     return float(_fan_hausdorff(va, _fan(va), vb, _fan(vb)))
@@ -516,11 +534,7 @@ def hausdorff(a, b) -> float:
         raise TypeError("hausdorff takes two regions or two clouds, not one of each")
     pa = _cloud_points(a)
     pb = _cloud_points(b)
-    ta = cKDTree(np.column_stack([pa.real, pa.imag]))
-    tb = cKDTree(np.column_stack([pb.real, pb.imag]))
-    d_ab = tb.query(np.column_stack([pa.real, pa.imag]))[0].max()
-    d_ba = ta.query(np.column_stack([pb.real, pb.imag]))[0].max()
-    return float(max(d_ab, d_ba))
+    return float(max(_nearest(pb, pa).max(), _nearest(pa, pb).max()))
 
 
 # -- intersection on the normal fans ------------------------------------
@@ -706,10 +720,7 @@ def nested_conv_exchange(clouds, tol: float, grid: int = DEFAULT_GRID):
     if not seq:
         raise EmptyInput("need at least one cloud")
     for k in range(len(seq) - 1):
-        prev_pts = seq[k].points
-        tree = cKDTree(np.column_stack([prev_pts.real, prev_pts.imag]))
-        nxt = seq[k + 1].points
-        d = tree.query(np.column_stack([nxt.real, nxt.imag]))[0]
+        d = _nearest(seq[k].points, seq[k + 1].points)
         slack = tol + seq[k].resolution + seq[k + 1].resolution
         if d.max() > slack:
             raise NotNested(
@@ -721,9 +732,7 @@ def nested_conv_exchange(clouds, tol: float, grid: int = DEFAULT_GRID):
     last = seq[-1].points
     keep = np.ones(last.size, dtype=bool)
     for c in seq[:-1]:
-        tree = cKDTree(np.column_stack([c.points.real, c.points.imag]))
-        d = tree.query(np.column_stack([last.real, last.imag]))[0]
-        keep &= d <= tol + c.resolution + seq[-1].resolution
+        keep &= _nearest(c.points, last) <= tol + c.resolution + seq[-1].resolution
     if not np.any(keep):
         raise EmptyIntersection("no common points within tolerance")
     rhs = ConvexRegion.from_points(last[keep], grid)

@@ -45,6 +45,8 @@ def inner_approximate(
         raise ValidationError(f"start must be >= 1, got {start}")
     if samples < 1 or window < 3:
         raise ValidationError("need at least one sample and a window of >= 3 blocks")
+    if seed < 0:
+        raise ValidationError(f"seed must be non-negative, got {seed}")
     rng = np.random.default_rng(seed)
 
     if spec.tail_is_scalar and start > spec.prefix_len:

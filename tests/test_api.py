@@ -1,6 +1,15 @@
-"""The package's public names."""
+"""The package's public names, and what importing it loads."""
+
+import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import blockrange
+from blockrange.cli import spec_to_dict
+
+from helpers import two_matrix_spec, vanishing_spec
 
 
 def test_all_is_sorted_unique_and_resolves():
@@ -8,3 +17,44 @@ def test_all_is_sorted_unique_and_resolves():
     assert names == sorted(set(names))
     missing = [n for n in names if not hasattr(blockrange, n)]
     assert not missing
+
+
+def _python(code: str) -> subprocess.CompletedProcess:
+    """Run ``code`` in a fresh interpreter that imports this checkout."""
+    src = Path(blockrange.__file__).resolve().parents[1]
+    return subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True,
+        env={**os.environ, "PYTHONPATH": str(src)}, timeout=120,
+    )
+
+
+def test_cold_import_loads_no_scipy():
+    # scipy's kd-tree is imported only where two point clouds are compared
+    proc = _python(
+        "import sys, blockrange, blockrange.cli\n"
+        "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"
+
+
+def test_pipelines_that_compare_no_clouds_run_without_scipy(tmp_path):
+    # a None entry in sys.modules makes every scipy import fail
+    periodic, vanishing = tmp_path / "periodic.json", tmp_path / "vanishing.json"
+    periodic.write_text(json.dumps(spec_to_dict(two_matrix_spec())))
+    vanishing.write_text(json.dumps(spec_to_dict(
+        vanishing_spec([[[0, 1], [0, 0]], [[1.5]]], c=0.5, p=1.0, seed=11))))
+    runs = [
+        ["decompose", str(periodic), "--groups", "8", "--eps", "0.5"],
+        ["verify", str(periodic), "--groups", "8", "--eps", "0.5"],
+        ["range", str(periodic), "--block", "2"],
+        ["essential", str(vanishing)],
+    ]
+    proc = _python(
+        "import sys\n"
+        "sys.modules['scipy'] = None\n"
+        "from blockrange.cli import main\n"
+        f"print([main(argv) for argv in {runs!r}])"
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip().splitlines()[-1] == "[0, 0, 0, 0]"

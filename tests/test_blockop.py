@@ -102,6 +102,26 @@ class TestVanishingTail:
         assert t.perturbation(7, 1)[0, 0] == t.perturbation(7, 1)[0, 0]
         assert t.perturbation(7, 1)[0, 0] != t.perturbation(8, 1)[0, 0]
 
+    def test_shifted_block_is_validated_once(self, monkeypatch):
+        # the limit block plus its perturbation, minus the shift, is built
+        # and validated as one matrix, with the same arithmetic as ever
+        t = VanishingTail((NILPOTENT, DIAG23), 0.8, 1.0, seed=2)
+        spec = BlockOperatorSpec((), t, shift=0.3 + 0.2j)
+        built = []
+        validate = ComplexMatrix.__post_init__
+
+        def counting(m):
+            built.append(m)
+            validate(m)
+
+        monkeypatch.setattr(ComplexMatrix, "__post_init__", counting)
+        for n, lim in ((5, NILPOTENT), (6, DIAG23)):
+            built.clear()
+            blk = spec.block(n)
+            assert built == [blk]
+            want = (lim.entries + t.perturbation(n, 2)) - spec.shift * np.eye(2)
+            assert np.array_equal(blk.entries, want)
+
     def test_perturbed_range_within_lipschitz_bound(self):
         # the numerical range moves by at most the operator-norm perturbation
         t = VanishingTail((NILPOTENT,), 0.8, 1.0, seed=2)
@@ -301,6 +321,25 @@ class TestRangeMemo:
         assert spec.cached_block(200) is spec.cached_block(200)
         assert len(spec._blocks) <= _RANGE_MEMO_CAP
         assert translate_spec(spec, 1.0)._blocks == {}
+
+    def test_periodic_blocks_are_built_once_per_cycle_position(self, monkeypatch):
+        # a periodic block depends only on its position in the cycle, so
+        # the memo keys it by the first index that has the same block
+        built = []
+        build = BlockOperatorSpec.block
+
+        def counting(spec, n):
+            built.append(n)
+            return build(spec, n)
+
+        monkeypatch.setattr(BlockOperatorSpec, "block", counting)
+        cycle = (NILPOTENT, DIAG23, mat([[1j]]))
+        spec = BlockOperatorSpec((DIAG23,), PeriodicTail(cycle), shift=0.5 - 1j)
+        for n in (2, 3, 4, 5, 17, 3000):
+            assert spec.cached_block(n) is spec.cached_block(n + len(cycle))
+            assert spec.cached_block(n) == build(spec, n)
+        assert spec.cached_block(1) == build(spec, 1)
+        assert sorted(built) == [1, 2, 3, 4]
 
     def test_one_eigensolve_per_window(self, monkeypatch):
         # a vanishing tail of one 3x3 limit and two scalar limits: the limits

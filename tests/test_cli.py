@@ -1,22 +1,36 @@
 """Command line front end: spec files in, printed summaries and artifacts out."""
 
+import contextlib
 import csv
+import io
 import json
 import os
 import shutil
 import subprocess
 import sys
+import tempfile
 import xml.etree.ElementTree as ET
+from collections import Counter
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import blockrange
-from blockrange import ParseError, ValidationError
+from blockrange import BlockOperatorSpec, ParseError, PeriodicTail, ValidationError
 from blockrange.cli import main, parse_spec, parse_spec_dict, spec_to_dict
 
-from helpers import dense_spec, scalar_periodic_spec, two_matrix_spec, vanishing_spec
+from helpers import (
+    DIAG23,
+    NILPOTENT,
+    dense_spec,
+    mat,
+    scalar_periodic_spec,
+    two_matrix_spec,
+    vanishing_spec,
+)
 
 NILPOTENT_SPEC = {"tail": {"kind": "periodic", "cycle": [[[[0, 0], [1, 0]], [[0, 0], [0, 0]]]]}}
 TWO_MATRIX = two_matrix_spec()
@@ -220,6 +234,24 @@ class TestDecomposeVerify:
             assert int(row[0]) == m
             assert float(row[2]) < 0.5 / m
 
+    def test_decompose_builds_each_periodic_block_once(self, tmp_path, monkeypatch):
+        # the operator and its translate each build at most one block per
+        # prefix index and per cycle position, however far the scans go
+        built = []
+        build = BlockOperatorSpec.block
+
+        def counting(spec, n):
+            built.append((id(spec), n))
+            return build(spec, n)
+
+        monkeypatch.setattr(BlockOperatorSpec, "block", counting)
+        spec = BlockOperatorSpec((DIAG23,), PeriodicTail((NILPOTENT, DIAG23, mat([[1j]]))))
+        path = write_spec(tmp_path, spec)
+        assert main(["decompose", path, "--groups", "8", "--eps", "0.5"]) == 0
+        per_spec = Counter(owner for owner, _ in built)
+        assert len(per_spec) == 2 and max(per_spec.values()) <= 1 + 3
+        assert len(set(built)) == len(built)
+
     def test_verify_regrouped_beats_identity(self, tmp_path, capsys):
         path = write_spec(tmp_path, TWO_MATRIX)
         good = tmp_path / "good.json"
@@ -282,6 +314,7 @@ NAN_SHIFT = {"tail": {"kind": "periodic", "cycle": [[[[1, 0]]]]}, "shift": [floa
         (TWO_MATRIX, ["verify", "--scan-cap", "-1"], 2),
         (TWO_MATRIX, ["oracle", "--samples", "0"], 2),
         (TWO_MATRIX, ["oracle", "--tail-start", "0"], 2),
+        (TWO_MATRIX, ["oracle", "--seed", "-1"], 2),
         (NAN_SHIFT, ["essential"], 2),
         (_vanishing_doc(float("nan"), 1.0), ["essential"], 2),
         (_vanishing_doc(0.5, 1e-9), ["essential"], 3),
@@ -289,8 +322,8 @@ NAN_SHIFT = {"tail": {"kind": "periodic", "cycle": [[[[1, 0]]]]}, "shift": [floa
     ],
     ids=["angles_2", "eps_0", "eps_negative", "eps_nan", "block_0", "groups_0",
          "scan_cap_0", "scan_cap_negative",
-         "samples_0", "tail_start_0", "nan_shift", "nan_decay_c", "tiny_decay_p",
-         "slow_decay_huge_k_cap"],
+         "samples_0", "tail_start_0", "seed_negative", "nan_shift", "nan_decay_c",
+         "tiny_decay_p", "slow_decay_huge_k_cap"],
 )
 def test_bad_knobs_exit_cleanly(tmp_path, doc, args, code):
     """Bad options and documents exit 2 (3 for a budget) with one ``error:``
@@ -307,6 +340,110 @@ def test_bad_knobs_exit_cleanly(tmp_path, doc, args, code):
     assert proc.stderr.startswith("error:")
     assert "Traceback" not in proc.stderr
     assert not cert.exists()
+
+
+HUGE = str(10**400)
+_GOOD = st.sampled_from([0.0, 1.0, -0.5, 2.0, 0.25])
+_BAD = st.sampled_from([None, -1, 0, float("nan"), float("inf"), 10**400, 1e308, True,
+                        "x", [], {}, [[1, 0]]])
+
+
+@st.composite
+def _matrices(draw):
+    n = draw(st.integers(1, 2))
+    return [[[draw(_GOOD), draw(_GOOD)] for _ in range(n)] for _ in range(n)]
+
+
+def _slots(node):
+    """Every (container, key) pair of a JSON tree, depth first."""
+    keys = node if isinstance(node, dict) else range(len(node))
+    for k in keys:
+        yield node, k
+        if isinstance(node[k], (dict, list)):
+            yield from _slots(node[k])
+
+
+@st.composite
+def _documents(draw):
+    """An operator document of any tail kind, valid or with one value
+    replaced by a bad one."""
+    kind = draw(st.sampled_from(["periodic", "vanishing", "builtin"]))
+    blocks = st.lists(_matrices(), min_size=1, max_size=3)
+    tail = {"kind": kind}
+    if kind == "periodic":
+        tail["cycle"] = draw(blocks)
+    elif kind == "vanishing":
+        tail["limits"] = draw(blocks)
+        tail["decay"] = {"type": "power", "c": draw(st.sampled_from([0.0, 0.05, 0.5])),
+                         "p": draw(st.sampled_from([1.0, 2.0]))}
+        tail["seed"] = draw(st.integers(0, 99))
+    else:
+        tail["name"] = "dense_angle_diagonal"
+    doc = {"tail": tail}
+    if draw(st.booleans()):
+        doc["prefix"] = draw(st.lists(_matrices(), max_size=2))
+    if draw(st.booleans()):
+        doc["shift"] = [draw(_GOOD), draw(_GOOD)]
+    if draw(st.booleans()):
+        node, key = draw(st.sampled_from(list(_slots(doc))))
+        node[key] = draw(_BAD)
+    return doc
+
+
+# Flag values: valid ones, then 0, -1, nan, inf and huge.  Huge goes only
+# to flags whose work does not grow with the value, --angles stays at most
+# 16, and a flag not drawn takes a cheap value rather than its default (the
+# default eps and group count cost seconds per run), so that every example
+# runs in a fraction of a second.
+_COMMON = {
+    "--angles": ["3", "8", "16", "0", "-1", "nan", "inf"],
+    "--eps": ["0.5", "0.05", "0", "-1", "nan", "inf", "1e300"],
+    "--horizon": ["1", "3", "300", "0", "-1", "nan"],
+    "--k-cap": ["8", "1024", "0", "-1", "inf", HUGE],
+    "--seed": ["0", "7", "-1", "nan", HUGE],
+}
+_GROUPS = {"--groups": ["1", "3", "0", "-1", "nan"],
+           "--scan-cap": ["1", "100", "0", "-1", "nan", HUGE]}
+_COMMANDS = {
+    "range": {"--block": ["1", "2", "5", "0", "-1", "nan"]},
+    "essential": {},
+    "decompose": _GROUPS,
+    "verify": {**_GROUPS, "--identity": [None]},
+    "oracle": {"--samples": ["1", "50", "0", "-1", "nan"],
+               "--tail-start": ["1", "4", "100", "0", "-1", "nan"]},
+}
+
+
+@st.composite
+def _command_lines(draw):
+    command = draw(st.sampled_from(sorted(_COMMANDS)))
+    flags = {**_COMMON, **_COMMANDS[command]}
+    argv = [command]
+    for flag in draw(st.lists(st.sampled_from(sorted(flags)), max_size=4, unique=True)):
+        value = draw(st.sampled_from(flags[flag]))
+        argv += [flag] if value is None else [flag, value]
+    cheap = {"--angles": "16", "--eps": "0.5", "--groups": "3"}
+    for flag, value in cheap.items():
+        if flag in flags and flag not in argv:
+            argv += [flag, value]
+    return argv
+
+
+@given(_documents(), _command_lines())
+@settings(max_examples=40, deadline=None)
+def test_fuzzed_documents_and_flags_exit_cleanly(doc, argv):
+    """Any document and flags exit 0, 2, 3 or 4, with no traceback."""
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "op.json"
+        path.write_text(json.dumps(doc))
+        out = io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(out):
+            try:
+                code = main([argv[0], str(path), *argv[1:], "--cert", str(Path(tmp) / "c.json")])
+            except SystemExit as exc:  # argparse rejects the value
+                code = exc.code
+    assert code in (0, 2, 3, 4), out.getvalue()
+    assert "Traceback" not in out.getvalue()
 
 
 @pytest.mark.skipif(shutil.which("blockrange") is None, reason="entry point not installed")

@@ -197,10 +197,22 @@ class TestAntipodalPairs:
         on_line = np.real(res.attained * np.exp(-1j * th))
         assert np.max(np.abs(on_line - res.outer.support)) < 1e-12
 
+
+class TestLaws:
+    """Metamorphic laws of W, on random matrices at scales 1e-15 to 1e15:
+    each holds within the gaps the two ranges report."""
+
     matrices = st.tuples(
         st.integers(1, 6), st.integers(0, 2**32 - 1), st.integers(-15, 15),
         st.sampled_from([8, 91, 360]),
     )
+
+    @staticmethod
+    def draw(case) -> tuple[np.random.Generator, np.ndarray, int]:
+        """The generator a case seeds, the matrix drawn from it, the grid."""
+        n, seed, e, grid = case
+        rng = np.random.default_rng(seed)
+        return rng, random_matrix(rng, n, scale=10.0**e).entries, grid
 
     @staticmethod
     def check_law(a: np.ndarray, b: np.ndarray, image, grid: int) -> None:
@@ -214,16 +226,33 @@ class TestAntipodalPairs:
     @given(matrices)
     @settings(max_examples=40, deadline=None)
     def test_negation_law(self, case):
-        n, seed, e, grid = case
-        a = random_matrix(np.random.default_rng(seed), n, scale=10.0**e).entries
+        _, a, grid = self.draw(case)
         self.check_law(a, -a, np.negative, grid)
 
     @given(matrices)
     @settings(max_examples=40, deadline=None)
     def test_adjoint_law(self, case):
-        n, seed, e, grid = case
-        a = random_matrix(np.random.default_rng(seed), n, scale=10.0**e).entries
+        _, a, grid = self.draw(case)
         self.check_law(a, a.conj().T, np.conj, grid)
+
+    @given(matrices)
+    @settings(max_examples=40, deadline=None)
+    def test_transpose_law(self, case):
+        _, a, grid = self.draw(case)
+        self.check_law(a, a.T, np.asarray, grid)
+
+    @given(matrices)
+    @settings(max_examples=40, deadline=None)
+    def test_unitary_similarity_law(self, case):
+        rng, a, grid = self.draw(case)
+        u = random_unitary(rng, a.shape[0])
+        self.check_law(a, u.conj().T @ a @ u, np.asarray, grid)
+
+    @given(matrices)
+    @settings(max_examples=40, deadline=None)
+    def test_direct_sum_with_itself_law(self, case):
+        _, a, grid = self.draw(case)
+        self.check_law(a, assemble_block_diagonal([a, a]), np.asarray, grid)
 
 
 def _hexes(res) -> list[list[str]]:
