@@ -345,9 +345,9 @@ class BlockOperatorSpec:
                 out[rest] = cyc[pos % len(t.cycle)]
             else:
                 lims = np.asarray([m.entries[0, 0] for m in t.limits])
-                base = lims[pos % len(t.limits)]
-                pert = np.asarray([t.perturbation(int(n), 1)[0, 0] for n in ns[rest]])
-                out[rest] = base + pert
+                out[rest] = lims[pos % len(t.limits)]
+                if t.decay_scale > 0:
+                    out[rest] += [t.perturbation(int(n), 1)[0, 0] for n in ns[rest]]
         return out - self.shift
 
 
@@ -383,6 +383,21 @@ def _circle_covering_radius(values: np.ndarray) -> float:
     return float(2.0 * np.sin(worst / 4.0))
 
 
+def _horizon_need(spec: BlockOperatorSpec, start: int, horizon: int | None) -> int:
+    """Blocks that a window of a periodic or vanishing tail at ``start``
+    must hold: the prefix remainder plus one full cycle, or plus one block
+    per limit.  Raises HorizonTooSmall when ``horizon`` is shorter."""
+    t = spec.tail
+    prefix_left = max(len(spec.prefix) - start + 1, 0)
+    if isinstance(t, PeriodicTail):
+        need, what = prefix_left + len(t.cycle), "the prefix remainder plus one full cycle"
+    else:
+        need, what = prefix_left + len(t.limits), "the prefix remainder and every limit block"
+    if horizon is not None and horizon < need:
+        raise HorizonTooSmall(f"window of {horizon} blocks cannot cover {what} ({need} blocks)")
+    return need
+
+
 def tail_union(
     spec: BlockOperatorSpec,
     start: int = 1,
@@ -405,26 +420,14 @@ def tail_union(
     prefix_left = max(p - start + 1, 0)
 
     if isinstance(t, PeriodicTail):
-        need = prefix_left + len(t.cycle)
-        if horizon is None:
-            horizon = need
-        if horizon < need:
-            raise HorizonTooSmall(
-                f"window of {horizon} blocks cannot cover the prefix remainder "
-                f"plus one full cycle ({need} blocks)"
-            )
+        need = _horizon_need(spec, start, horizon)
         pts, gap = _attained_vertices(spec, range(start, start + need), grid, tol)
         return PointCloud(np.concatenate(pts), gap)
 
     if isinstance(t, VanishingTail):
-        need = prefix_left + len(t.limits)
+        need = _horizon_need(spec, start, horizon)
         if horizon is None:
             horizon = max(need, _VANISHING_WINDOW_CAP)
-        if horizon < need:
-            raise HorizonTooSmall(
-                f"window of {horizon} blocks cannot reach every limit block "
-                f"({need} blocks needed)"
-            )
         real = min(horizon, _VANISHING_WINDOW_CAP)
         pts, gap = _attained_vertices(spec, range(start, start + real), grid, tol)
         lim_pts, lim_gap = _limit_vertices(spec, grid, tol)

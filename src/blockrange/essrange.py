@@ -1,11 +1,22 @@
 """Essential numerical range of a block diagonal operator.
 
 Primary route: the essential numerical range equals the convex hull of the
-closed limit superior of the block ranges.  Independent route, used as a
-crosscheck: it also equals the intersection over k of the convex hulls of
-the whole-tail unions starting at k.  Both are computed and their Hausdorff
-gap is reported; a gap beyond ten times the combined tolerance signals an
-implementation bug and raises.
+closed limit superior of the block ranges.  A second route checks it, and
+their disagreement is reported as ``crosscheck_gap``; a gap beyond ten times
+the combined tolerance signals an implementation bug and raises.
+
+For periodic and vanishing tails the limsup is known exactly (one cycle's
+blocks, or the limit blocks L_k), so the support of W_e in direction theta
+is max_k lambda_max(Re(e^{-i theta} L_k)), the top of the essential
+spectrum of Re(e^{-i theta} T) (Fillmore, Stampfli and Williams 1972).  The
+second route compares those eigenvalues with the region's support at the
+grid directions, which checks the hull and the choice of blocks.  A
+vanishing tail also checks its block generator on one round of tail blocks
+through the Lipschitz law |h_{W(B_n)} - h_{W(L_n)}| <= decay(n) (Weyl).
+
+For dense tails the essential range also equals the intersection over k of
+the hulls of the whole-tail unions starting at k; the second route
+intersects the window hulls at doubling starts.
 """
 
 from __future__ import annotations
@@ -13,11 +24,16 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, replace
 
+import numpy as np
+
 from .blockop import (
     DEFAULT_EPS,
     DEFAULT_K_CAP,
     BlockOperatorSpec,
+    BuiltinTail,
+    PeriodicTail,
     VanishingTail,
+    _horizon_need,
     limsup_ranges,
     tail_union,
 )
@@ -38,10 +54,13 @@ _GAP_FACTOR = 10.0
 class EssentialRangeResult:
     """Essential numerical range with its supporting evidence.
 
-    ``region`` is the hull of the sampled limsup cloud; ``crosscheck_gap``
-    is the Hausdorff distance to the independently computed intersection of
-    tail-union hulls; ``tolerance`` combines the cloud resolution, the
-    stabilisation threshold and a floating-point floor.
+    ``region`` is the hull of the sampled limsup cloud.  ``crosscheck_gap``
+    is its disagreement with the second route: for periodic and vanishing
+    tails the largest grid-direction difference from the support function
+    of the limit blocks (plus any excess of a vanishing tail's blocks over
+    the Lipschitz law), for dense tails the Hausdorff distance to the
+    intersection of tail-window hulls.  ``tolerance`` combines the cloud
+    resolution, the stabilisation threshold and a floating-point floor.
     """
 
     region: ConvexRegion
@@ -60,33 +79,62 @@ def _consistency_gate(gap: float, tolerance: float, what: str) -> None:
         )
 
 
-def _start_schedule(
-    spec: BlockOperatorSpec, converged_at: int, eps: float, k_cap: int
-) -> list[int]:
-    """Window starts for the intersection route: doubling up to convergence,
-    plus (for vanishing tails) a start deep enough that the perturbations
-    have shrunk below the stabilisation threshold.  That start raises
-    NoConvergence beyond ``k_cap``; it is compared in log space, so a tiny
-    decay power cannot overflow."""
-    ks = {1, converged_at}
-    k = 2
-    while k < converged_at:
-        ks.add(k)
-        k *= 2
+def _check_reach(tail: VanishingTail, eps: float, k_cap: int) -> None:
+    """Raise NoConvergence when the perturbations c * n^-p stay above
+    ``eps`` beyond block ``k_cap``, before any tail block is built.  The
+    test is made in log space, so a tiny decay power cannot overflow."""
+    if tail.decay_scale == 0:
+        return
+    ratio = tail.decay_scale / eps
+    # the decay evaluates float(n) ** -p, so a usable block index is also a
+    # finite float; 2**1000 keeps ratio ** (1 / p) clear of overflow
+    cap = min(k_cap, 2.0**1000)
+    if ratio > 1 and math.log(ratio) / tail.decay_power > math.log(cap):
+        raise NoConvergence(
+            f"perturbations c * n^-p stay above eps {eps} beyond the window "
+            f"start cap {k_cap}"
+        )
+
+
+def _window_gap(spec, region, converged_at, horizon, grid, tol) -> float:
+    """Hausdorff distance from ``region`` to the intersection of the hulls
+    of the tail windows at starts 1, 2, 4, ... below ``converged_at``, and
+    at ``converged_at``."""
+    starts = [2**i for i in range(converged_at.bit_length()) if 2**i < converged_at]
+    inter: ConvexRegion | None = None
+    for start in starts + [converged_at]:
+        window = tail_union(spec, start, horizon, grid, tol)
+        hull = ConvexRegion.from_points(window.points, grid)
+        inter = hull if inter is None else intersect_regions(inter, hull)
+    return float(hausdorff(region, inter))
+
+
+def _support_gap(region: ConvexRegion, ranges) -> float:
+    """Largest grid-direction difference between the support of ``region``
+    and the largest outer support (lambda_max) over ``ranges``."""
+    h = np.max([r.outer.support for r in ranges], axis=0)
+    return float(np.abs(h - region.support).max())
+
+
+def _limit_gap(spec: BlockOperatorSpec, region: ConvexRegion, grid: int, tol: float) -> float:
+    """The support route of a periodic tail (one cycle's blocks) or of a
+    vanishing tail (its shifted limit blocks), the latter raised by how far
+    the tail blocks B_n, n = k0 .. k0 + len(limits) - 1, exceed the law
+    |h_{W(B_n)} - h_{W(L_n)}| <= decay(n) + 1e-9 * norm_bound."""
     t = spec.tail
-    if isinstance(t, VanishingTail) and t.decay_scale > 0:
-        ratio = t.decay_scale / eps
-        # the decay evaluates float(n) ** -p, so a usable start is also a
-        # finite float; 2**1000 keeps ratio ** (1 / p) clear of overflow
-        cap = min(k_cap, 2.0**1000)
-        if ratio > 1 and math.log(ratio) / t.decay_power > math.log(cap):
-            raise NoConvergence(
-                f"perturbations c * n^-p stay above eps {eps} beyond the window "
-                f"start cap {k_cap}"
-            )
-        deep = math.ceil(ratio ** (1.0 / t.decay_power)) + 1
-        ks.add(max(deep, converged_at))
-    return sorted(ks)
+    k0 = spec.prefix_len + 1
+    if isinstance(t, PeriodicTail):
+        cycle = [spec.cached_block(n) for n in range(k0, k0 + len(t.cycle))]
+        return _support_gap(region, spec.ranges_of(cycle, grid, tol))
+    limits = spec.ranges_of([spec.apply_shift(m) for m in t.limits], grid, tol)
+    ns = range(k0, k0 + len(t.limits))
+    blocks = spec.ranges_of([spec.cached_block(n) for n in ns], grid, tol)
+    floor = 1e-9 * spec.norm_bound
+    excess = max(
+        float(np.abs(b.outer.support - lim.outer.support).max()) - t.decay(n) - floor
+        for n, b, lim in zip(ns, blocks, limits)
+    )
+    return max(_support_gap(region, limits), excess)
 
 
 def essential_numerical_range(
@@ -101,13 +149,13 @@ def essential_numerical_range(
     lim = limsup_ranges(spec, eps, k_cap, grid, horizon, tol)
     region = ConvexRegion.from_points(lim.cloud.points, grid)
 
-    inter: ConvexRegion | None = None
-    for start in _start_schedule(spec, lim.converged_at, eps, k_cap):
-        window = tail_union(spec, start, horizon, grid, tol)
-        hull = ConvexRegion.from_points(window.points, grid)
-        inter = hull if inter is None else intersect_regions(inter, hull)
-    assert inter is not None
-    gap = float(hausdorff(region, inter))
+    if isinstance(spec.tail, BuiltinTail):
+        gap = _window_gap(spec, region, lim.converged_at, horizon, grid, tol)
+    else:
+        if isinstance(spec.tail, VanishingTail):
+            _check_reach(spec.tail, eps, k_cap)
+        _horizon_need(spec, 1, horizon)
+        gap = _limit_gap(spec, region, grid, tol)
 
     tolerance = lim.cloud.resolution + eps + 1e-9 * spec.norm_bound
     _consistency_gate(gap, tolerance, "essential range")

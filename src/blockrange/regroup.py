@@ -25,6 +25,9 @@ from .linalg import DEFAULT_EIG_TOL
 DEFAULT_REGROUP_EPS = 1e-2
 DEFAULT_DEPTH = 64
 DEFAULT_SCAN_CAP = 10**6
+# A scan of a scalar tail fetches its values in chunks that double from
+# _FIRST_CHUNK up to _SCAN_CHUNK, so that an early hit builds few values.
+_FIRST_CHUNK = 16
 _SCAN_CHUNK = 4096
 
 
@@ -188,9 +191,11 @@ def _scan_window(spec: BlockOperatorSpec, targets: np.ndarray, j: int,
     n = start
     budget = cap
     p = spec.prefix_len
+    chunk = _FIRST_CHUNK
     while budget > 0:
         if n > p and spec.tail_is_scalar:
-            cnt = min(budget, _SCAN_CHUNK)
+            cnt = min(budget, chunk)
+            chunk = min(2 * chunk, _SCAN_CHUNK)
             vals = spec.window_values(n, cnt)
             d = np.abs(vals - target)
             hits = np.flatnonzero(d < threshold)

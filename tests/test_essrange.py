@@ -2,9 +2,12 @@
 
 The essential range is the hull of the limsup cloud; every test here pins it
 against something computable by hand (cycles, explicit limits, translations)
-or against the independent intersection-of-window-hulls route, whose gap is
-carried on the result as ``crosscheck_gap``.
+or against the second route, whose gap is carried on the result as
+``crosscheck_gap``: the support function of the limit blocks for periodic and
+vanishing tails, the intersection of tail-window hulls for dense tails.
 """
+
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -13,19 +16,24 @@ from numpy.testing import assert_allclose
 from blockrange import (
     BlockOperatorSpec,
     ConvexRegion,
+    HorizonTooSmall,
     InconsistentResult,
     PeriodicTail,
+    PointCloud,
+    VanishingTail,
     essential_numerical_range,
     hausdorff,
     numerical_range,
     translate_spec,
 )
+from blockrange import blockop, essrange
 from blockrange.essrange import _consistency_gate
 
 from helpers import (
     DIAG23,
     NILPOTENT,
     constant_spec,
+    dense_spec,
     mat,
     scalar_periodic_spec,
     two_matrix_spec,
@@ -129,10 +137,70 @@ class TestConsistencyGate:
             _consistency_gate(1.5, 0.1, "probe")
 
     def test_dual_route_agreement_on_random_periodic(self, rng):
-        # intersection of window hulls must match hull of the limsup cloud
+        # the cycle blocks' largest eigenvalues must match the hull's support
         cycle = tuple(
             mat(rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2)))
             for _ in range(3)
         )
         res = essential_numerical_range(BlockOperatorSpec((), PeriodicTail(cycle)))
         assert res.crosscheck_gap <= res.tolerance
+
+
+def _without_last(fn):
+    """``fn`` with the last block's vertices left out of its result."""
+    def dropped(*args):
+        pts, gap = fn(*args)
+        return pts[:-1], gap
+    return dropped
+
+
+class TestCrosscheckCatchesFaults:
+    """One fault planted in the main route, per tail kind, must make the
+    second route disagree and the gate raise."""
+
+    def test_periodic_block_dropped_from_the_hull(self, monkeypatch):
+        monkeypatch.setattr(blockop, "_attained_vertices", _without_last(blockop._attained_vertices))
+        with pytest.raises(InconsistentResult):
+            essential_numerical_range(two_matrix_spec())
+
+    def test_vanishing_limit_dropped_from_the_hull(self, monkeypatch):
+        monkeypatch.setattr(blockop, "_limit_vertices", _without_last(blockop._limit_vertices))
+        with pytest.raises(InconsistentResult):
+            essential_numerical_range(vanishing_spec([NILPOTENT, [[1.5]]], c=0.5))
+
+    def test_vanishing_generator_past_its_decay(self, monkeypatch):
+        spec = vanishing_spec([NILPOTENT, [[1.5]]], c=0.05, seed=3)
+        assert essential_numerical_range(spec).crosscheck_gap < 1e-12
+        real = VanishingTail.perturbation
+        monkeypatch.setattr(VanishingTail, "perturbation",
+                            lambda self, n, dim: 100.0 * real(self, n, dim))
+        spec = vanishing_spec([NILPOTENT, [[1.5]]], c=0.05, seed=3)
+        with pytest.raises(InconsistentResult):
+            essential_numerical_range(spec)
+
+    def test_dense_hull_vertex_moved_outward(self, monkeypatch):
+        real = essrange.limsup_ranges
+
+        def pushed(*args):
+            lim = real(*args)
+            pts = lim.cloud.points.copy()
+            pts[np.argmax(pts.real)] += 3.0
+            return replace(lim, cloud=PointCloud(pts, lim.cloud.resolution))
+
+        monkeypatch.setattr(essrange, "limsup_ranges", pushed)
+        with pytest.raises(InconsistentResult):
+            essential_numerical_range(dense_spec(), eps=0.05, k_cap=2**16)
+
+
+@pytest.mark.parametrize(
+    "spec, need",
+    [
+        (scalar_periodic_spec([1.0, 1j, -1.0], prefix=[5.0, 6.0]), 5),
+        (vanishing_spec([[[0.0]], [[1.0]]], c=0.5, prefix=[[[5.0]]]), 3),
+    ],
+    ids=["periodic", "vanishing"],
+)
+def test_horizon_must_cover_prefix_and_one_round(spec, need):
+    essential_numerical_range(spec, horizon=need)
+    with pytest.raises(HorizonTooSmall):
+        essential_numerical_range(spec, horizon=need - 1)
