@@ -15,11 +15,10 @@ only the grid) are built on that lookup.  Polygons that arrive already in
 counterclockwise angular order (attained points, consecutive support
 lines) are certified as their own hull in one vectorised pass.
 
-The intersection of two polygons is a linear clip on the two normal fans:
-each edge line finds, by a binary search vectorised over all edges, where
-it enters and leaves the other polygon, and the pieces of the edges,
-ordered by normal angle, form the boundary of the intersection as a ring
-that certifies itself the same way.
+The intersection of two polygons is a linear clip: seen from the vertex
+centroid of the other polygon, each edge sweeps a run of its wedges and is
+clipped only against their edges, about |P| + |Q| pairs in one pass; the
+pieces, in normal-angle order, form a ring that certifies itself too.
 
 The certificate, the fans, the support lookups and the region-region
 Hausdorff distance also run on stacks of polygons with one polygon per
@@ -32,11 +31,11 @@ stack than alone.
 
 Any other point set takes one vectorised hull.  The points near the
 boundary survive a filter by the polygon of ten extreme points (Akl and
-Toussaint 1978) and an angular scan about its centroid, and coincident
-survivors merge.  Graham's scan without the stack (Graham
-1972), run on Andrew's lexicographic ring, then deletes in each numpy
-pass the vertices that do not turn strictly left.  The ring it leaves
-certifies itself.
+Toussaint 1978) and an angular scan about its centroid, in angular order,
+and certify themselves when all are corners (as on a circle).  Otherwise
+coincident survivors merge, and Graham's scan without the stack (Graham
+1972), run on Andrew's lexicographic ring, deletes in each numpy pass the
+vertices that do not turn strictly left.  The ring left certifies itself.
 
 All of the above is numpy alone.  Only the distances between two point
 clouds (``hausdorff`` of two clouds, which the doubling stop rule of a
@@ -226,21 +225,25 @@ def _prune(pts: np.ndarray) -> np.ndarray:
 def _hull_vertices(points: np.ndarray) -> np.ndarray:
     """Hull vertices, counterclockwise from the lexicographically smallest.
 
-    Angle-ordered input certifies itself (``_ordered_hull``).  Otherwise
-    ``_prune`` keeps the points near the boundary, coincident survivors
-    merge, and ``_drop_reflex`` scans Andrew's ring: the smallest point a,
-    the points right of a -> b in increasing order, the largest point b,
-    the points left of it in decreasing order.  The ring needs no interior
-    point, so thin and collinear input take the same path; exactly
-    collinear input (every turn zero) comes out as the segment [a, b].
-    Points inside a straight edge are dropped, and the result certifies
-    itself by ``_ordered_hull``.
+    Angle-ordered input certifies itself (``_ordered_hull``), and so do the
+    points ``_prune`` keeps near the boundary, in angular order, when all
+    are corners (as on a circle; the scan would return the same array).
+    Else coincident survivors merge, and ``_drop_reflex`` scans Andrew's
+    ring: the smallest point a, the points right of a -> b in increasing
+    order, the largest point b, the points left of it in decreasing order.
+    The ring needs no interior point, so thin and collinear input take the
+    same path; exactly collinear input (every turn zero) comes out as the
+    segment [a, b].  Points inside a straight edge are dropped, and the
+    result certifies itself by ``_ordered_hull``.
     """
     pts = np.asarray(points, dtype=np.complex128).ravel()
-    ordered = _ordered_hull(pts)
-    if ordered is not None:
-        return ordered
-    pts = _merge_coincident(np.unique(_prune(pts)))
+    hull = _ordered_hull(pts)
+    if hull is None:
+        ring = _prune(pts)
+        hull = _ordered_hull(ring)
+    if hull is not None:
+        return hull
+    pts = _merge_coincident(np.unique(ring))
     if pts.size <= 2:
         return pts
     a, b = pts[0], pts[-1]
@@ -492,11 +495,6 @@ def _nearest(ref: np.ndarray, query: np.ndarray) -> np.ndarray:
     return cKDTree(xy(ref)).query(xy(query))[0]
 
 
-def _region_hausdorff(a: ConvexRegion, b: ConvexRegion) -> float:
-    va, vb = a.vertices, b.vertices
-    return float(_fan_hausdorff(va, _fan(va), vb, _fan(vb)))
-
-
 def _fan_hausdorff(va, fa, vb, fb):
     """Hausdorff distance of the polygons ``va`` and ``vb`` with normal fans
     ``fa`` and ``fb``, or of each pair of rows of two stacks of polygons."""
@@ -529,7 +527,8 @@ def hausdorff(a, b) -> float:
     a_region = isinstance(a, ConvexRegion)
     b_region = isinstance(b, ConvexRegion)
     if a_region and b_region:
-        return _region_hausdorff(a, b)
+        va, vb = a.vertices, b.vertices
+        return float(_fan_hausdorff(va, _fan(va), vb, _fan(vb)))
     if a_region or b_region:
         raise TypeError("hausdorff takes two regions or two clouds, not one of each")
     pa = _cloud_points(a)
@@ -557,16 +556,6 @@ def _crossing(p0, p1, q0, q1):
         return x0 + t * dx
 
     return 0.5 * (along(p0, p1, q0, q1) + along(q0, q1, p0, p1))
-
-
-def _bisect(ok, lo, hi):
-    """For each row, an i in [lo, hi) with ok(i) and not ok(i + 1), given
-    ok(lo) and not ok(hi): one vectorised binary search."""
-    while np.any(hi - lo > 1):
-        mid = (lo + hi) // 2
-        below = ok(mid)
-        lo, hi = np.where(below, mid, lo), np.where(below, hi, mid)
-    return lo
 
 
 def _clip_segment(s0: complex, s1: complex, w: np.ndarray, tol: float) -> np.ndarray:
@@ -600,55 +589,74 @@ def _clip_segment(s0: complex, s1: complex, w: np.ndarray, tol: float) -> np.nda
                      s1 if hi == 1.0 else s0 + hi * (s1 - s0)])
 
 
-def _edge_pieces(p, fan_p, q, fan_q, tol):
-    """The piece of each edge of polygon P that lies in polygon Q.
+def _clip_edges(p, fan_p, q, fan_q, tol):
+    """Normal angles, starts and ends of the pieces of P's edges in Q.
 
-    For each edge line of P, the vertices of Q supporting its outward and
-    inward normals split the boundary of Q into an arc on which the depth
-    inside the line rises and one on which it falls; a binary search on
-    each, vectorised over all edges, finds where the line, moved inward by
-    ``tol``, leaves and enters Q.  Moving it inward keeps an edge that Q
-    shares with P, whose depths are rounding-level of either sign.  The
-    chord clipped to the edge is the piece.  A piece ends at a vertex,
-    exactly, where a vertex of either polygon lies within ``tol`` of the
-    other's line, and at ``_crossing`` otherwise.
-
-    Returns the pieces' outward normal angles, starts and ends.  Raises
-    EmptyIntersection when Q lies beyond an edge line by more than
-    ``tol``; when Q only touches one, P meets Q inside that line and the
-    one piece returned is the edge clipped by ``_clip_segment``.
+    Seen from Q's vertex centroid c, an edge of P sweeps Q's wedges (between
+    the rays to consecutive vertices) from that of its start to that of its
+    end, and in each wedge Q is cut by one edge line.  So the edge is
+    clipped (Cyrus and Beck) only against those lines and the lines of the
+    wedge either side (near a vertex the next line, moved, may cut deeper),
+    or against all where its line passes within ``tol`` of c.  Q's lines
+    are moved outward by ``tol``, so an edge Q shares with P bounds nothing.
+    A piece ends exactly at a vertex within ``tol`` of the other polygon's
+    line, and at ``_crossing`` otherwise.  Raises EmptyIntersection when Q
+    lies beyond an edge line by more than ``tol``; when Q only touches one,
+    the one piece is that edge clipped by ``_clip_segment``.
     """
     m = q.size
     edges, normals = fan_p
-    a0, a1 = p[edges], p[(edges + 1) % p.size]
-    lo = _supporting(fan_q, normals)  # least depth inside each edge line
-    hi = _supporting(fan_q, normals + np.pi)  # greatest depth
-    top = _depth(q[hi], a0, a1)
+    succ = (edges + 1) % p.size
+    a0, a1 = p[edges], p[succ]
+    # the least and greatest depth of Q inside each edge line
+    low, top = _depth(q[_supporting(fan_q, np.stack((normals, normals + np.pi)))], a0, a1)
     k = int(np.argmin(top))
     if top[k] < -tol:
         raise EmptyIntersection("regions do not meet")
     if top[k] <= tol:
-        ends = _clip_segment(a0[k], a1[k], q, tol)
-        return normals[k : k + 1], ends[:1], ends[1:]
-    cut = _depth(q[lo], a0, a1) < tol
-    a0, a1, lo, hi, normals = a0[cut], a1[cut], lo[cut], hi[cut], normals[cut]
-
-    def shallow(j):
-        return _depth(q[j % m], a0, a1) <= tol
-
-    # the depth rises from lo to hi counterclockwise and falls back to lo
-    out = _bisect(shallow, lo, np.where(hi < lo, hi + m, hi)) % m
-    into = _bisect(lambda j: ~shallow(j), hi, np.where(lo < hi, lo + m, lo)) % m
-    o0, o1, i0, i1 = q[out], q[(out + 1) % m], q[into], q[(into + 1) % m]
-    leave = np.where(_depth(o0, a0, a1) >= -tol, o0, _crossing(a0, a1, o0, o1))
-    enter = np.where(_depth(i1, a0, a1) >= -tol, i1, _crossing(a0, a1, i0, i1))
-    # depths of the edge's ends inside the lines of Q it enters and leaves by
-    start0, start1 = _depth(a0, i0, i1), _depth(a1, i0, i1)
-    end0, end1 = _depth(a0, o0, o1), _depth(a1, o0, o1)
-    start = np.where(start0 >= -tol, a0, np.where(start1 <= tol, a1, enter))
-    end = np.where(end1 >= -tol, a1, np.where(end0 <= tol, a0, leave))
-    keep = (start1 >= -tol) & (end0 >= -tol)
-    return normals[keep], start[keep], end[keep]
+        return (normals[k : k + 1], *np.split(_clip_segment(a0[k], a1[k], q, tol), 2))
+    # the wedge of each vertex of P (the rays in angular order start at r);
+    # an edge of Q is its own piece, and an edge line Q lies inside gives none
+    c = q.mean()
+    rays = np.angle(q - c)
+    r = int(np.argmin(rays))
+    wedge = (np.searchsorted(np.roll(rays, -r), np.angle(p - c), side="right") - 1 + r) % m
+    q1 = _neighbours(q)[1]
+    w0 = wedge[edges]
+    own = (q[w0] == a0) & (q1[w0] == a1)
+    clip = (low < tol) & ~own
+    own = normals[own], a0[own], a1[own]
+    normals, a0, a1, w0, w1 = normals[clip], a0[clip], a1[clip], w0[clip], wedge[succ[clip]]
+    # one pair per wedge each edge sweeps counterclockwise from ``first``,
+    # and per wedge either side, with the depths of its ends inside that
+    # wedge's line moved out
+    side = _depth(c, a0, a1)
+    first = np.where(side > 0.0, w0, w1)
+    span = np.where(np.abs(side) <= tol, m, np.minimum(np.mod(w0 + w1 - 2 * first, m) + 3, m))
+    at = np.cumsum(span) - span
+    edge = np.repeat(np.arange(span.size), span)
+    j = (np.arange(edge.size) - np.repeat(at - first + 1, span)) % m
+    g0, g1 = _depth(a0[edge], q[j], q1[j]) + tol, _depth(a1[edge], q[j], q1[j]) + tol
+    # where the edge enters and leaves each moved line; a pair with both
+    # ends outside enters at +inf and leaves at -inf
+    t, pair = g0 / (g0 - g1), np.arange(edge.size)
+    t_enter = np.where(g0 < 0.0, np.where(g1 < 0.0, np.inf, t), -np.inf)
+    t_leave = np.where(g1 < 0.0, np.where(g0 < 0.0, -np.inf, t), np.inf)
+    t_in, t_out = np.maximum.reduceat(t_enter, at), np.minimum.reduceat(t_leave, at)
+    keep = t_in <= t_out
+    start, end = np.where(t_in == -np.inf, a0, a1), np.where(t_out == np.inf, a1, a0)
+    # an end more than tol inside the line of its first binding pair moves
+    # to that edge of Q: to its vertex within tol of the edge line (its start
+    # for a start, its end for an end, if both are), or else the crossing
+    for ends, t_pair, t_edge, inside, late in ((start, t_enter, t_in, g1, 0),
+                                               (end, t_leave, t_out, g0, 1)):
+        binding = np.minimum.reduceat(np.where(t_pair == t_edge[edge], pair, pair[-1:]), at)
+        i = np.flatnonzero(keep & (np.abs(t_edge) < np.inf) & (inside[binding] > 2.0 * tol))
+        u = q[j[binding[i]]], q1[j[binding[i]]]
+        near = [np.abs(_depth(x, a0[i], a1[i])) <= tol for x in u]
+        ends[i] = np.where(near[late], u[late],
+                           np.where(near[1 - late], u[1 - late], _crossing(a0[i], a1[i], *u)))
+    return tuple(np.concatenate(x) for x in zip(own, (normals[keep], start[keep], end[keep])))
 
 
 def intersect_regions(a: ConvexRegion, b: ConvexRegion) -> ConvexRegion:
@@ -656,15 +664,13 @@ def intersect_regions(a: ConvexRegion, b: ConvexRegion) -> ConvexRegion:
 
     The pointwise minimum of the two support vectors is generally *not* the
     support function of the intersection, so the polygons themselves are
-    intersected, in time linear in their sizes up to a logarithm: each
-    edge of either polygon is clipped to the other by ``_edge_pieces``, and
-    ordering the pieces by their normal angles (the two normal fans merged)
-    walks the boundary of the intersection counterclockwise.  Of two equal
-    pieces from a shared collinear edge one is kept; the ring is then
-    certified by ``_ordered_hull``, or else hulled.  A point or segment
-    region is one ``_clip_segment`` call.  Boundary lines are moved by
-    1e-12 times the largest vertex modulus, so the result scales with the
-    regions.  The support values are recomputed from the polygon.
+    intersected, in time linear in their sizes up to a logarithm: each edge
+    of either is clipped to the other by ``_clip_edges``, and the pieces
+    ordered by normal angle walk the boundary counterclockwise.  Their ends
+    are exact vertices or symmetric crossings, so of two equal pieces from
+    a shared edge one is kept and the ring certifies itself.  A point or
+    segment region is one ``_clip_segment`` call.  Boundary lines are moved
+    by 1e-12 times the largest vertex modulus, so the result scales.
     """
     k = a.grid_size
     if b.grid_size != k:
@@ -677,7 +683,7 @@ def intersect_regions(a: ConvexRegion, b: ConvexRegion) -> ConvexRegion:
             ring = _clip_segment(s[0], s[-1], w, tol)
         else:
             fa, fb = _fan(va), _fan(vb)
-            pieces = [_edge_pieces(va, fa, vb, fb, tol), _edge_pieces(vb, fb, va, fa, tol)]
+            pieces = [_clip_edges(va, fa, vb, fb, tol), _clip_edges(vb, fb, va, fa, tol)]
             normals, start, end = (np.concatenate(x) for x in zip(*pieces))
             order = np.argsort(np.mod(normals, 2.0 * np.pi), kind="stable")
             start, end = start[order], end[order]
@@ -695,17 +701,9 @@ def extreme_points(region: ConvexRegion) -> PointCloud:
     v = region.vertices
     if v.size <= 2:
         return PointCloud(v.copy(), 0.0)
-    collinear_tol = 1e-9 * region.diameter
-    prev = np.roll(v, 1)
-    nxt = np.roll(v, -1)
-    chord = nxt - prev
-    # perpendicular distance of v from the prev->next chord
-    num = np.abs((chord.real) * (v.imag - prev.imag) - (chord.imag) * (v.real - prev.real))
-    dist = num / np.maximum(np.abs(chord), 1e-300)
-    keep = v[dist > collinear_tol]
-    if keep.size == 0:
-        keep = v[:1]
-    return PointCloud(keep, 0.0)
+    # distance of each vertex from the chord between its two neighbours
+    keep = v[np.abs(_depth(v, *_neighbours(v))) > 1e-9 * region.diameter]
+    return PointCloud(keep if keep.size else v[:1], 0.0)
 
 
 def nested_conv_exchange(clouds, tol: float, grid: int = DEFAULT_GRID):

@@ -16,7 +16,8 @@ through the Lipschitz law |h_{W(B_n)} - h_{W(L_n)}| <= decay(n) (Weyl).
 
 For dense tails the essential range also equals the intersection over k of
 the hulls of the whole-tail unions starting at k; the second route
-intersects the window hulls at doubling starts.
+intersects the window hulls at doubling starts, the region standing in for
+the last window.
 """
 
 from __future__ import annotations
@@ -99,14 +100,13 @@ def _check_reach(tail: VanishingTail, eps: float, k_cap: int) -> None:
 def _window_gap(spec, region, converged_at, horizon, grid, tol) -> float:
     """Hausdorff distance from ``region`` to the intersection of the hulls
     of the tail windows at starts 1, 2, 4, ... below ``converged_at``, and
-    at ``converged_at``."""
-    starts = [2**i for i in range(converged_at.bit_length()) if 2**i < converged_at]
+    at ``converged_at``: that window is the cloud ``region`` hulls, so
+    ``region`` stands in for it, and each earlier window is hulled once."""
     inter: ConvexRegion | None = None
-    for start in starts + [converged_at]:
-        window = tail_union(spec, start, horizon, grid, tol)
-        hull = ConvexRegion.from_points(window.points, grid)
+    for start in [2**i for i in range(converged_at.bit_length()) if 2**i < converged_at]:
+        hull = ConvexRegion.from_points(tail_union(spec, start, horizon, grid, tol).points, grid)
         inter = hull if inter is None else intersect_regions(inter, hull)
-    return float(hausdorff(region, inter))
+    return float(hausdorff(region, region if inter is None else intersect_regions(inter, region)))
 
 
 def _support_gap(region: ConvexRegion, ranges) -> float:

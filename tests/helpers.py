@@ -5,14 +5,17 @@ oracle is gift wrapping (the library deletes reflex vertices of an ordered
 ring in vectorised passes), the support, diameter and Hausdorff oracles
 scan every vertex, vertex pair and vertex-edge pair (the library walks
 normal fans), the intersection oracle tries every vertex against every
-edge and every pair of edges (the library clips each edge by a binary
-search on the other polygon), the eigenvalue oracle bisects the sign of
+edge and every pair of edges, deciding close calls in rational arithmetic
+(the library clips each edge only against the edges of the other polygon
+in the wedges it sweeps), the eigenvalue oracle bisects the sign of
 the characteristic determinant (the library calls LAPACK through
 ``numpy.linalg.eigh``), and range membership is checked by
 direct Monte-Carlo Rayleigh sampling.
 """
 
 from __future__ import annotations
+
+from fractions import Fraction
 
 import numpy as np
 
@@ -142,12 +145,33 @@ def _cross_of(u: np.ndarray, v: np.ndarray) -> np.ndarray:
     return u.real * v.imag - u.imag * v.real
 
 
+def _rational(z: complex) -> tuple[Fraction, Fraction]:
+    return Fraction(z.real), Fraction(z.imag)
+
+
+def _rational_cross(o, a, b) -> Fraction:
+    """(a - o) x (b - o) of the rational points ``o``, ``a`` and ``b``."""
+    return (a[0] - o[0]) * (b[1] - o[1]) - (a[1] - o[1]) * (b[0] - o[0])
+
+
+def _sides(p: complex, s0: np.ndarray, s1: np.ndarray) -> np.ndarray:
+    """Exact sign of (s1 - s0) x (p - s0) for each edge s0 -> s1.  Rounding
+    moves the float product by a few ulps of |s1 - s0| |p - s0|, so only
+    the products within 1e-9 of that of zero are redone in rationals."""
+    d, w = s1 - s0, p - s0
+    cross = _cross_of(d, w)
+    side = np.sign(cross)
+    for k in np.flatnonzero(np.abs(cross) <= 1e-9 * np.abs(d) * np.abs(w)):
+        side[k] = np.sign(_rational_cross(_rational(s0[k]), _rational(s1[k]), _rational(p)))
+    return side
+
+
 def _inside(p: complex, corners: np.ndarray) -> bool:
     """Exact membership of ``p`` in the convex hull of the CCW ``corners``."""
     if corners.size == 1:
         return bool(p == corners[0])
     s0, s1 = _boundary(corners)
-    side = _cross_of(s1 - s0, p - s0)
+    side = _sides(p, s0, s1)
     if corners.size == 2:
         a, b = corners
         return bool(side[0] == 0
@@ -156,15 +180,35 @@ def _inside(p: complex, corners: np.ndarray) -> bool:
     return bool(np.all(side >= 0))
 
 
+def _crossing(a0: complex, a1: complex, b0: complex, b1: complex) -> complex | None:
+    """The point where the segments a0a1 and b0b1 cross, found in rationals
+    and rounded to the nearest float, or None where they do not cross or
+    are parallel.  A crossing at a shared end is that end, to the bit."""
+    a0, a1, b0, b1 = map(_rational, (a0, a1, b0, b1))
+    origin = (Fraction(0), Fraction(0))
+    da, db = (a1[0] - a0[0], a1[1] - a0[1]), (b1[0] - b0[0], b1[1] - b0[1])
+    den = _rational_cross(origin, da, db)
+    if den == 0:
+        return None
+    w = (b0[0] - a0[0], b0[1] - a0[1])
+    t, s = _rational_cross(origin, w, db) / den, _rational_cross(origin, w, da) / den
+    if not (0 <= t <= 1 and 0 <= s <= 1):
+        return None
+    return complex(float(a0[0] + t * da[0]), float(a0[1] + t * da[1]))
+
+
 def brute_intersection(corners_a, corners_b) -> np.ndarray:
     """Corners of the intersection of two convex polygons given by their
     CCW corners, CCW; empty when they do not meet.
 
     The corners of the intersection are among the corners of each polygon
-    that lie in the other, tested by exact edge cross products, and the
-    crossings of an edge of one with an edge of the other; every pair of
-    edges is tried, and the candidates are gift wrapped.  Points and
-    segments are polygons with no edge or one.
+    that lie in the other and the crossings of an edge of one with an edge
+    of the other; every vertex is tried against every edge and every pair
+    of edges is tried, and the candidates are gift wrapped.  Signs and
+    crossings that rounding could decide are decided in rational
+    arithmetic, so a polygon meets its own copy in its own corners, not in
+    crossings one ulp off them.  Points and segments are polygons with no
+    edge or one.
     """
     ha = np.asarray(corners_a, dtype=np.complex128).ravel()
     hb = np.asarray(corners_b, dtype=np.complex128).ravel()
@@ -177,8 +221,15 @@ def brute_intersection(corners_a, corners_b) -> np.ndarray:
         with np.errstate(divide="ignore", invalid="ignore"):
             t = _cross_of(b0 - a0, db) / den
             s = _cross_of(b0 - a0, da) / den
-        hit = (den != 0) & (t >= 0) & (t <= 1) & (s >= 0) & (s <= 1)
-        cand.extend(a0 + t[hit] * da)
+        # float screening: near-parallel pairs and crossings near or inside
+        # both segments go to the rational test
+        pad = 1e-9
+        maybe = ((np.abs(den) <= pad * np.abs(da) * np.abs(db))
+                 | ((t >= -pad) & (t <= 1 + pad) & (s >= -pad) & (s <= 1 + pad)))
+        for k in np.flatnonzero(maybe):
+            hit = _crossing(a0, a1, b0[k], b1[k])
+            if hit is not None:
+                cand.append(hit)
     if not cand:
         return np.zeros(0, dtype=np.complex128)
     return gift_wrap_hull(np.array(cand))

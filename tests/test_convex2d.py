@@ -18,7 +18,7 @@ from blockrange import (
     nested_conv_exchange,
     numerical_range,
 )
-from blockrange.convex2d import _hull_vertices, _ordered_hull
+from blockrange.convex2d import _clip_edges, _fan, _hull_vertices, _ordered_hull
 
 from helpers import (
     brute_diameter,
@@ -44,6 +44,14 @@ def square(lo=0.0, hi=1.0, grid=360):
 def disc_points(center=0j, radius=1.0, count=720):
     th = np.linspace(0, 2 * np.pi, count, endpoint=False)
     return center + radius * np.exp(1j * th)
+
+
+def ellipse_polygon(rng: np.random.Generator, n: int) -> np.ndarray:
+    """``n`` points in strictly convex position, counterclockwise on a
+    random ellipse."""
+    theta = 2 * np.pi * (np.arange(n) + 0.5 * rng.random(n)) / n
+    ellipse = np.cos(theta) + 1j * rng.uniform(0.3, 1.0) * np.sin(theta)
+    return complex(*rng.normal(0.0, 2.0, 2)) + np.exp(2j * np.pi * rng.random()) * ellipse
 
 
 class TestHull:
@@ -121,6 +129,43 @@ class TestHull:
         diamond = np.array([-1, -1e-16j, 1, 1e-16j])
         assert _ordered_hull(diamond) is None
         assert np.array_equal(_hull_vertices(diamond), [-1, -1e-16j, 1])
+
+    convex_sets = st.tuples(st.integers(3, 200), st.integers(0, 2**32 - 1), st.integers(-12, 12))
+
+    @staticmethod
+    def convex_position(case) -> tuple[np.random.Generator, np.ndarray]:
+        """Points in strictly convex position, counterclockwise on a random
+        ellipse at scale 10^e, and the generator that drew them."""
+        n, seed, e = case
+        rng = np.random.default_rng(seed)
+        return rng, 10.0**e * ellipse_polygon(rng, n)
+
+    @given(convex_sets)
+    @settings(max_examples=30, deadline=None)
+    def test_convex_position_in_any_order(self, case):
+        # every point is a corner, so shuffled they certify their own hull
+        # after the pruning scan, bit for bit the hull they give in order
+        rng, pts = self.convex_position(case)
+        ordered = _hull_vertices(pts)
+        assert _hull_vertices(rng.permutation(pts)).tobytes() == ordered.tobytes()
+        assert np.array_equal(ordered, gift_wrap_hull(pts))
+
+    @given(convex_sets, st.sampled_from(["interior", "within the snap"]))
+    @settings(max_examples=30, deadline=None)
+    def test_convex_position_with_one_more_point(self, case, extra):
+        # the ring no longer certifies itself: an interior point, or a point
+        # 4e-15 x the set's size inside its leftmost corner (so within the
+        # 1e-14 coincidence snap, and merged into that smaller corner)
+        rng, pts = self.convex_position(case)
+        if extra == "interior":
+            point = rng.dirichlet(np.ones(3)) @ rng.choice(pts, 3, replace=False)
+        else:
+            corner = pts[np.argmin(pts.real)]
+            inward = pts.mean() - corner
+            point = corner + 4e-15 * np.abs(pts).max() * inward / abs(inward)
+        more = rng.permutation(np.append(pts, point))
+        assert np.array_equal(_hull_vertices(more), gift_wrap_hull(more))
+        assert np.array_equal(_hull_vertices(more), _hull_vertices(pts))
 
     @given(complex_points)
     @settings(max_examples=60, deadline=None)
@@ -394,11 +439,12 @@ class TestIntersect:
         assert np.all(out.support <= np.minimum(a.support, b.support) + 1e-9)
 
     @staticmethod
-    def assert_matches_brute(ca, cb, rel=1e-12):
+    def assert_matches_brute(ca, cb, rel=1e-12, scale=1.0):
         """Both argument orders against the vertex/edge-scan oracle; ``ca``
-        and ``cb`` are CCW corners."""
+        and ``cb`` are CCW corners.  The oracle runs on them, the library on
+        them times ``scale``."""
         ca, cb = np.asarray(ca, dtype=complex), np.asarray(cb, dtype=complex)
-        a, b = ConvexRegion.from_points(ca), ConvexRegion.from_points(cb)
+        a, b = ConvexRegion.from_points(scale * ca), ConvexRegion.from_points(scale * cb)
         want = brute_intersection(ca, cb)
         for x, y in ((a, b), (b, a)):
             if want.size == 0:
@@ -406,8 +452,8 @@ class TestIntersect:
                     intersect_regions(x, y)
                 continue
             got = intersect_regions(x, y)
-            scale = max(np.abs(ca).max(), np.abs(cb).max())
-            assert hausdorff(got, ConvexRegion.from_points(want)) <= rel * scale
+            size = scale * max(np.abs(ca).max(), np.abs(cb).max())
+            assert hausdorff(got, ConvexRegion.from_points(scale * want)) <= rel * size
 
     def test_dense_angle_subsets_against_brute(self, rng):
         # hulls of overlapping sets of rational angles, as the tail windows
@@ -471,10 +517,91 @@ class TestIntersect:
             assert brute_intersection(ca, cb).size == 0
             self.assert_matches_brute(ca, cb)
 
+    pair_kinds = ("random", "chord", "dense windows", "nested", "identical", "touching")
+
+    @staticmethod
+    def polygon_pair(kind: str, rng: np.random.Generator) -> tuple[np.ndarray, np.ndarray]:
+        """CCW corners of two polygons at unit scale whose intersection the
+        vertex/edge-scan oracle finds exactly: polygons of up to 60 corners
+        apart or overlapping; a triangle whose long edge passes just beside
+        the other polygon's vertex centroid, on the far side from the
+        triangle, so that seen from there it sweeps many wedges; hulls of
+        overlapping sets of rational angles (shared vertices and collinear
+        edges); a polygon and a copy shrunk about an inner point; a polygon
+        twice; or two lattice polygons that touch."""
+        def gauss_polygon():
+            return gift_wrap_hull(rng.standard_normal(30) + 1j * rng.standard_normal(30))
+
+        if kind == "random":
+            return tuple(ellipse_polygon(rng, int(n)) for n in rng.integers(3, 61, 2))
+        if kind == "chord":
+            poly = ellipse_polygon(rng, int(rng.integers(20, 61)))
+            turn = np.exp(2j * np.pi * rng.random())
+            offset = rng.uniform(0.02, 0.25) * 1j
+            return poly.mean() + turn * (offset + np.array([-3, 3, 3j])), poly
+        if kind == "dense windows":
+            shift = complex(*rng.uniform(-0.5, 0.5, 2))
+            fractions = [np.unique(np.concatenate([np.arange(q) / q for q in range(lo, hi + 1)]))
+                         for lo, hi in np.sort(rng.integers(1, 26, (2, 2)), axis=1)]
+            return tuple(gift_wrap_hull(np.exp(2j * np.pi * f) - shift) for f in fractions)
+        poly = gauss_polygon()
+        if kind == "nested":
+            inner = rng.dirichlet(np.ones(poly.size)) @ poly
+            return poly, inner + rng.uniform(0.2, 0.9) * (poly - inner)
+        if kind == "identical":
+            return poly, poly
+        lattice = gift_wrap_hull(rng.integers(-4, 5, 12) + 1j * rng.integers(-4, 5, 12))
+        # the largest corner of one on the smallest of the other, or the
+        # two only on one vertical line: in a point, a segment or not at all
+        shift = lattice.max() - lattice.min()
+        return lattice, lattice + (shift if rng.random() < 0.5 else shift.real)
+
+    @given(st.sampled_from(pair_kinds), st.integers(0, 2**32 - 1), st.integers(-12, 12))
+    @settings(max_examples=80, deadline=None)
+    def test_pairs_against_brute_at_any_scale(self, kind, seed, e):
+        ca, cb = self.polygon_pair(kind, np.random.default_rng(seed))
+        rel = 1e-12
+        if kind == "touching":
+            # the lines are moved out by 1e-12 x the size, so off the exact
+            # lattice two polygons whose edges meet at an angle theta can
+            # share a sliver up to 1e-12 x size / sin(theta / 2) long
+            da, db = np.roll(ca, -1) - ca, np.roll(cb, -1) - cb
+            sines = np.abs(np.imag(da[:, None].conj() * db)) / np.abs(da[:, None] * db)
+            rel *= 1.0 + 2.0 / np.min(sines[sines > 0], initial=1.0)
+        self.assert_matches_brute(ca, cb, rel=rel, scale=10.0**e)
+
     def test_large_polygons_against_brute(self):
         circle = np.exp(2j * np.pi * np.arange(4096) / 4096)
         self.assert_matches_brute(circle, np.exp(0.3j) * circle + 1.99)
         self.assert_matches_brute(circle, [0, 1.05, 0.5 + 0.5j])
+
+    @pytest.mark.parametrize("delta", [1.6e-12, 1.75e-12])
+    def test_corner_beyond_a_corner_is_clipped(self, delta):
+        # b = (1 + delta) a: the corner 3 + 3i of b lies beyond a's line
+        # y = x / 5 + 2.4 by less than the 1e-12 x size tolerance, but
+        # beyond its line x = 3 by more, so the edge of b that starts there
+        # is cut by that second line, and the intersection is a
+        a = ConvexRegion.from_points(1e4 * np.array([-3 - 3j, 3 - 3j, 3 + 3j, -2 + 2j, -3]))
+        b = ConvexRegion.from_points((1 + delta) * a.vertices)
+        for x, y in ((a, b), (b, a)):
+            assert hausdorff(intersect_regions(x, y), a) <= 1e-14 * np.abs(a.vertices).max()
+
+    def test_an_edge_through_a_corner_ends_there(self):
+        # a corner of the triangle lies on the square's bottom edge, to
+        # rounding, and the edge enters the triangle there: the piece of
+        # that edge starts exactly at the corner, not at a crossing near it,
+        # where the triangle's piece that ends there meets it bit for bit
+        turn = np.exp(0.3j)
+        square = turn * np.array([0, 1, 1 + 1j, 1j])
+        corner = square[0] + 0.3 * (square[1] - square[0])
+        triangle = corner + turn * np.array([0, 0.4 - 0.5j, -0.2 + 0.5j])
+        p, q = _hull_vertices(square), _hull_vertices(triangle)
+        tol = 1e-12 * np.abs(square).max()
+        with np.errstate(divide="ignore", invalid="ignore"):
+            _, start, end = _clip_edges(p, _fan(p), q, _fan(q), tol)
+        assert corner in start
+        assert corner in intersect_regions(ConvexRegion.from_points(square),
+                                           ConvexRegion.from_points(triangle)).vertices
 
     @pytest.mark.parametrize("scale", [1e-12, 1e-8, 1.0, 1e8])
     def test_tolerance_scales_with_the_regions(self, scale):

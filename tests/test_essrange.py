@@ -192,6 +192,26 @@ class TestCrosscheckCatchesFaults:
             essential_numerical_range(dense_spec(), eps=0.05, k_cap=2**16)
 
 
+@pytest.mark.parametrize("prefix, eps", [((), 0.05), ((2.0 - 1j,), 0.1), ((0.3j, -1.5, 4.0), 0.08)])
+def test_dense_crosscheck_hulls_each_window_once(monkeypatch, prefix, eps):
+    # one hull per tail window at starts 1, 2, 4, ... below converged_at,
+    # and one for the region, which stands in for the window at
+    # converged_at; the doubling loop compares clouds and hulls none
+    real = ConvexRegion.from_points.__func__
+    calls = []
+
+    def counted(cls, *args, **kwargs):
+        calls.append(args)
+        return real(cls, *args, **kwargs)
+
+    monkeypatch.setattr(ConvexRegion, "from_points", classmethod(counted))
+    spec = dense_spec(prefix=[mat([[v]]) for v in prefix])
+    res = essential_numerical_range(spec, eps=eps, k_cap=2**16)
+    starts = [2**i for i in range(res.converged_at.bit_length()) if 2**i < res.converged_at]
+    assert len(calls) == len(starts) + 1
+    assert len(starts) >= 2
+
+
 @pytest.mark.parametrize(
     "spec, need",
     [

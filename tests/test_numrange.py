@@ -200,7 +200,8 @@ class TestAntipodalPairs:
 
 class TestLaws:
     """Metamorphic laws of W, on random matrices at scales 1e-15 to 1e15:
-    each holds within the gaps the two ranges report."""
+    each holds within the gaps the two ranges report.  The scaling and
+    translation laws draw c and z at 1e-15 to 1e15 as well."""
 
     matrices = st.tuples(
         st.integers(1, 6), st.integers(0, 2**32 - 1), st.integers(-15, 15),
@@ -216,9 +217,13 @@ class TestLaws:
 
     @staticmethod
     def check_law(a: np.ndarray, b: np.ndarray, image, grid: int) -> None:
-        """W(B) = image(W(A)), within the two reported gaps."""
+        """W(B) = image(W(A)) for an affine ``image`` z -> c z + d, within
+        the two reported gaps (W(A)'s stretched by |c|), and rounding at the
+        larger of the two operator norms (that of A stretched by |c|)."""
         ra, rb = numerical_range(ComplexMatrix(a), grid), numerical_range(ComplexMatrix(b), grid)
-        slack = ra.gap + rb.gap + 1e-12 * np.linalg.norm(a)
+        stretch = abs(complex(image(np.array([1.0 + 0j]))[0] - image(np.array([0j]))[0]))
+        norms = stretch * np.linalg.norm(a, 2), np.linalg.norm(b, 2)
+        slack = stretch * ra.gap + rb.gap + 1e-12 * max(norms)
         for got, want in ((rb.inner, ra.inner), (rb.outer, ra.outer)):
             moved = ConvexRegion.from_points(image(want.vertices), grid)
             assert hausdorff(got, moved) <= slack
@@ -253,6 +258,22 @@ class TestLaws:
     def test_direct_sum_with_itself_law(self, case):
         _, a, grid = self.draw(case)
         self.check_law(a, assemble_block_diagonal([a, a]), np.asarray, grid)
+
+    @given(matrices, st.integers(-15, 15), st.floats(0.0, 2.0 * np.pi))
+    @settings(max_examples=40, deadline=None)
+    def test_scaling_law(self, case, k, phase):
+        # W(cA) = c W(A) for c = 10^k e^{i phase}
+        _, a, grid = self.draw(case)
+        c = 10.0**k * np.exp(1j * phase)
+        self.check_law(a, c * a, lambda z: c * z, grid)
+
+    @given(matrices, st.integers(-15, 15), st.floats(0.0, 2.0 * np.pi))
+    @settings(max_examples=40, deadline=None)
+    def test_translation_law(self, case, k, phase):
+        # W(A - zI) = W(A) - z for z = 10^k e^{i phase}
+        _, a, grid = self.draw(case)
+        z = 10.0**k * np.exp(1j * phase)
+        self.check_law(a, a - z * np.eye(a.shape[0]), lambda w: w - z, grid)
 
 
 def _hexes(res) -> list[list[str]]:
