@@ -6,7 +6,6 @@ from .blockop import (
     BlockOperatorSpec,
     BuiltinTail,
     LimsupResult,
-    PeriodicTail,
     VanishingTail,
     limsup_ranges,
     tail_union,
@@ -82,7 +81,6 @@ __all__ = [
     "NotUnit",
     "NumericalRangeResult",
     "ParseError",
-    "PeriodicTail",
     "PointCloud",
     "ScanExhausted",
     "TranslationChoice",

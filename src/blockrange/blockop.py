@@ -1,25 +1,27 @@
 """Block diagonal operator specifications and tail window machinery.
 
 An operator is described by finitely many explicit prefix blocks followed
-by a structured tail (periodic cycle, vanishing perturbation of limit
-blocks, or a named builtin family), plus an optional uniform scalar shift:
-block n of the operator is B_n - shift * I.  Windows of block ranges and
-their stabilised limit superior are sampled as point clouds with explicit
-resolution bookkeeping.
+by a structured tail, plus an optional uniform scalar shift: block n of the
+operator is B_n - shift * I.  The tail either cycles through limit blocks
+L_k under a perturbation that decays to zero (``VanishingTail``; with no
+decay it is a periodic tail), or is a named builtin family
+(``BuiltinTail``).  The limsup of a limit-block tail is exactly the union
+of the W(L_k); a builtin tail's is sampled by windows whose stabilised
+union is a point cloud with explicit resolution bookkeeping.
 
 Blocks and block ranges are memoised per operator, in FIFO-bounded memos
 that live on the spec: ``BlockOperatorSpec.cached_block`` keeps the blocks
-already built, by the first index that has the same block (so a periodic
-tail builds each cycle position once), and ``BlockOperatorSpec.ranges_of``
-keeps block ranges, by content.  Overlapping tail windows, regroup scans
-and group ranges of one operator therefore build each block once and
-compute each distinct block range once.  ``numerical_range`` itself is
-pure and keeps no state.
+already built, by the first index that has the same block (so a tail
+without decay builds each cycle position once), and
+``BlockOperatorSpec.ranges_of`` keeps block ranges, by content.  Regroup
+scans, group ranges and the crosscheck of one operator therefore build
+each block once and compute each distinct block range once.
+``numerical_range`` itself is pure and keeps no state.
 
-A window asks for all of its block ranges in one request: the ranges not
+A set of blocks asks for all of its ranges in one request: the ranges not
 yet memoised are computed by ``numerical_ranges``, one stack per block
-dimension, so a tail window costs one eigensolve per dimension rather than
-one per block.
+dimension, so it costs one eigensolve per dimension rather than one per
+block.
 """
 
 from __future__ import annotations
@@ -37,7 +39,6 @@ from .numrange import NumericalRangeResult, numerical_ranges
 
 DEFAULT_EPS = 1e-3
 DEFAULT_K_CAP = 2**20
-_VANISHING_WINDOW_CAP = 256
 # A regroup scan of a non-scalar tail may visit up to scan_cap distinct
 # blocks, at about 28 KB per grid-360 result, so the memos are bounded.
 _RANGE_MEMO_CAP = 512
@@ -93,39 +94,13 @@ def _matrix_tuple(mats, what: str) -> tuple[ComplexMatrix, ...]:
 
 
 @dataclass(frozen=True)
-class PeriodicTail:
-    """Tail that repeats a finite cycle of blocks forever."""
-
-    cycle: tuple[ComplexMatrix, ...]
-    kind: ClassVar[str] = "periodic"
-
-    def __post_init__(self):
-        cyc = _matrix_tuple(self.cycle, "cycle")
-        if not cyc:
-            raise ValidationError("periodic tail needs a non-empty cycle")
-        object.__setattr__(self, "cycle", cyc)
-
-    def block(self, pos: int, n: int, shift: complex) -> ComplexMatrix:
-        """Block at 0-based tail position ``pos`` (1-based index ``n``),
-        minus ``shift`` times the identity."""
-        return _shifted(self.cycle[pos % len(self.cycle)], shift)
-
-    @property
-    def norm_bound(self) -> float:
-        return max(m.norm_bound for m in self.cycle)
-
-    @property
-    def scalar(self) -> bool:
-        return all(m.dim == 1 for m in self.cycle)
-
-
-@dataclass(frozen=True)
 class VanishingTail:
     """Round-robin limit blocks plus a perturbation that decays like c * n^-p.
 
     The perturbation of block n is a seeded Gaussian matrix of unit
     Frobenius norm scaled by the decay value, so each block is determined
-    by (seed, n) alone.
+    by (seed, n) alone.  With ``decay_scale`` 0, the default, there is no
+    perturbation and the tail is periodic: it repeats the limits forever.
     """
 
     limits: tuple[ComplexMatrix, ...]
@@ -163,8 +138,11 @@ class VanishingTail:
     def block(self, pos: int, n: int, shift: complex) -> ComplexMatrix:
         """Block at 0-based tail position ``pos`` (1-based index ``n``),
         minus ``shift`` times the identity: the perturbed and shifted
-        entries are validated once, as one matrix."""
+        entries are validated once, as one matrix.  Without a perturbation
+        it is the shifted limit block, bit for bit."""
         base = self.limits[pos % len(self.limits)]
+        if self.decay(n) == 0.0:
+            return _shifted(base, shift)
         entries = base.entries + self.perturbation(n, base.dim)
         if shift != 0:
             entries = entries - shift * np.eye(base.dim)
@@ -223,7 +201,7 @@ class BuiltinTail:
         return True
 
 
-Tail = Union[PeriodicTail, VanishingTail, BuiltinTail]
+Tail = Union[VanishingTail, BuiltinTail]
 
 
 @dataclass(frozen=True)
@@ -293,10 +271,10 @@ class BlockOperatorSpec:
     def cached_block(self, n: int) -> ComplexMatrix:
         """``block(n)``, memoised on the spec by the first index that has
         the same block: a block already built is returned again instead of
-        rebuilt, and a periodic tail builds each cycle position once."""
-        p = len(self.prefix)
-        if n > p and isinstance(self.tail, PeriodicTail):
-            n = p + 1 + (n - p - 1) % len(self.tail.cycle)
+        rebuilt, and a tail without decay builds each cycle position once."""
+        p, t = len(self.prefix), self.tail
+        if n > p and isinstance(t, VanishingTail) and t.decay_scale == 0:
+            n = p + 1 + (n - p - 1) % len(t.limits)
         hit = self._blocks.get(n)
         if hit is None:
             hit = _remember(self._blocks, n, self.block(n))
@@ -340,9 +318,6 @@ class BlockOperatorSpec:
             t = self.tail
             if isinstance(t, BuiltinTail):
                 out[rest] = t.values(int(pos[0]), int(pos.size))
-            elif isinstance(t, PeriodicTail):
-                cyc = np.asarray([m.entries[0, 0] for m in t.cycle])
-                out[rest] = cyc[pos % len(t.cycle)]
             else:
                 lims = np.asarray([m.entries[0, 0] for m in t.limits])
                 out[rest] = lims[pos % len(t.limits)]
@@ -351,27 +326,15 @@ class BlockOperatorSpec:
         return out - self.shift
 
 
-def _inner_vertices(results: list[NumericalRangeResult]):
-    """Attained-boundary vertices of each range, and the worst sandwich gap."""
-    return [r.inner.vertices for r in results], max([0.0, *(r.gap for r in results)])
-
-
-def _attained_vertices(spec: BlockOperatorSpec, indices, grid: int, tol: float):
-    """Attained-boundary vertices and worst sandwich gap over the distinct
-    blocks of a window, in the order of their first appearance; the
-    window's ranges are one request to the spec."""
+def _attained_vertices(spec: BlockOperatorSpec, blocks, grid: int, tol: float):
+    """Attained-boundary vertices of the distinct blocks of ``blocks``, in
+    the order of their first appearance, and their worst sandwich gap; the
+    ranges are one request to the spec."""
     distinct: dict[bytes, ComplexMatrix] = {}
-    for n in indices:
-        blk = spec.cached_block(n)
+    for blk in blocks:
         distinct.setdefault(blk.entries.tobytes(), blk)
-    return _inner_vertices(spec.ranges_of(list(distinct.values()), grid, tol))
-
-
-def _limit_vertices(spec: BlockOperatorSpec, grid: int, tol: float):
-    """Attained-boundary vertices and worst sandwich gap of the shifted limit
-    blocks of a vanishing tail, one range per limit block."""
-    limits = [spec.apply_shift(lim) for lim in spec.tail.limits]
-    return _inner_vertices(spec.ranges_of(limits, grid, tol))
+    results = spec.ranges_of(list(distinct.values()), grid, tol)
+    return [r.inner.vertices for r in results], max([0.0, *(r.gap for r in results)])
 
 
 def _circle_covering_radius(values: np.ndarray) -> float:
@@ -383,21 +346,6 @@ def _circle_covering_radius(values: np.ndarray) -> float:
     return float(2.0 * np.sin(worst / 4.0))
 
 
-def _horizon_need(spec: BlockOperatorSpec, start: int, horizon: int | None) -> int:
-    """Blocks that a window of a periodic or vanishing tail at ``start``
-    must hold: the prefix remainder plus one full cycle, or plus one block
-    per limit.  Raises HorizonTooSmall when ``horizon`` is shorter."""
-    t = spec.tail
-    prefix_left = max(len(spec.prefix) - start + 1, 0)
-    if isinstance(t, PeriodicTail):
-        need, what = prefix_left + len(t.cycle), "the prefix remainder plus one full cycle"
-    else:
-        need, what = prefix_left + len(t.limits), "the prefix remainder and every limit block"
-    if horizon is not None and horizon < need:
-        raise HorizonTooSmall(f"window of {horizon} blocks cannot cover {what} ({need} blocks)")
-    return need
-
-
 def tail_union(
     spec: BlockOperatorSpec,
     start: int = 1,
@@ -405,40 +353,24 @@ def tail_union(
     grid: int = DEFAULT_GRID,
     tol: float = DEFAULT_EIG_TOL,
 ) -> PointCloud:
-    """Sampled union of the block ranges W(B_n) for n >= ``start``.
+    """Sampled union of the block ranges W(B_n) of an operator with a
+    builtin tail, over the ``horizon`` blocks from ``start`` on.
 
-    The window length is chosen (or validated) so the sample faithfully
-    represents the infinite union: a periodic tail needs one full cycle
-    past the prefix remainder, a vanishing tail is truncated once the
-    perturbations are absorbed into the resolution, and the builtin dense
-    tail measures its own angular coverage.
+    The window's prefix blocks give their attained-boundary vertices, its
+    tail blocks their values; the resolution is the prefix blocks' worst
+    sandwich gap plus the tail values' angular covering radius.  A
+    limit-block tail needs no window, since its limsup is exactly the union
+    of its limit blocks' ranges, and raises ValidationError.
     """
     if start < 1:
         raise ValidationError(f"start must be >= 1, got {start}")
-    p = len(spec.prefix)
     t = spec.tail
+    if not isinstance(t, BuiltinTail):
+        raise ValidationError(
+            "tail windows sample builtin tails; a limit-block tail's limsup is its limit blocks"
+        )
+    p = len(spec.prefix)
     prefix_left = max(p - start + 1, 0)
-
-    if isinstance(t, PeriodicTail):
-        need = _horizon_need(spec, start, horizon)
-        pts, gap = _attained_vertices(spec, range(start, start + need), grid, tol)
-        return PointCloud(np.concatenate(pts), gap)
-
-    if isinstance(t, VanishingTail):
-        need = _horizon_need(spec, start, horizon)
-        if horizon is None:
-            horizon = max(need, _VANISHING_WINDOW_CAP)
-        real = min(horizon, _VANISHING_WINDOW_CAP)
-        pts, gap = _attained_vertices(spec, range(start, start + real), grid, tol)
-        lim_pts, lim_gap = _limit_vertices(spec, grid, tol)
-        pts += lim_pts
-        gap = max(gap, lim_gap)
-        # Blocks beyond the evaluated window sit within decay(n) of a limit
-        # block, and W is 1-Lipschitz in the operator norm.
-        slack = t.decay(start + real) if horizon > real else 0.0
-        return PointCloud(np.concatenate(pts), gap + slack)
-
-    # builtin dense tail
     if horizon is None:
         horizon = max(1024, start)
     if horizon < 1:
@@ -446,9 +378,8 @@ def tail_union(
     pts = []
     gap = 0.0
     if prefix_left > 0:
-        pre_pts, gap = _attained_vertices(
-            spec, range(start, start + min(prefix_left, horizon)), grid, tol
-        )
+        pre = range(start, start + min(prefix_left, horizon))
+        pre_pts, gap = _attained_vertices(spec, map(spec.cached_block, pre), grid, tol)
         pts.extend(pre_pts)
     tail_count = horizon - min(prefix_left, horizon)
     resolution = gap
@@ -484,9 +415,10 @@ def limsup_ranges(
 ) -> LimsupResult:
     """Closed limsup of the block range sequence, as a certified cloud.
 
-    Periodic and vanishing tails stabilise exactly once the window clears
-    the prefix, so they short-circuit; other tails are driven by doubling
-    the window start until consecutive unions agree within ``eps``.
+    The limsup of a limit-block tail is exactly the union of its shifted
+    limit blocks' ranges, certified at the first tail index; a builtin tail
+    is driven by doubling the window start until consecutive unions agree
+    within ``eps``.
     """
     if not (math.isfinite(eps) and eps > 0):
         raise ValidationError(f"eps must be finite and positive, got {eps}")
@@ -496,14 +428,10 @@ def limsup_ranges(
     t = spec.tail
     k0 = p + 1
 
-    if isinstance(t, PeriodicTail):
-        cloud = tail_union(spec, k0, None, grid, tol)
-        return LimsupResult(cloud, k0, ((k0, 0.0),))
-
     if isinstance(t, VanishingTail):
-        pts, gap = _limit_vertices(spec, grid, tol)
-        cloud = PointCloud(np.concatenate(pts), gap)
-        return LimsupResult(cloud, k0, ((k0, 0.0),))
+        limits = [spec.apply_shift(lim) for lim in t.limits]
+        pts, gap = _attained_vertices(spec, limits, grid, tol)
+        return LimsupResult(PointCloud(np.concatenate(pts), gap), k0, ((k0, 0.0),))
 
     start = k0
     prev = tail_union(spec, start, horizon, grid, tol)

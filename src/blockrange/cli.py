@@ -19,10 +19,8 @@ from pathlib import Path
 import numpy as np
 
 from .blockop import (
-    BUILTIN_TAILS,
     BlockOperatorSpec,
     BuiltinTail,
-    PeriodicTail,
     VanishingTail,
 )
 from .convex2d import PointCloud
@@ -60,7 +58,7 @@ EXIT_BUDGET = 3
 EXIT_INCONSISTENT = 4
 
 
-# -- spec (de)serialisation --------------------------------------------
+# -- spec parsing -------------------------------------------------------
 
 
 def _number(obj, where: str) -> float:
@@ -96,13 +94,6 @@ def _matrix_from_json(obj, where: str) -> ComplexMatrix:
         raise ValidationError(f"{where}: {exc}") from exc
 
 
-def _matrix_to_json(m: ComplexMatrix) -> list:
-    return [
-        [[float(e.real), float(e.imag)] for e in row]
-        for row in np.asarray(m.entries)
-    ]
-
-
 def _require_keys(obj: dict, allowed: set[str], required: set[str], where: str) -> None:
     if not isinstance(obj, dict):
         raise ValidationError(f"{where}: expected an object, got {obj!r}")
@@ -115,6 +106,8 @@ def _require_keys(obj: dict, allowed: set[str], required: set[str], where: str) 
 
 
 def parse_spec_dict(doc) -> BlockOperatorSpec:
+    """The operator of a JSON document.  A ``"periodic"`` tail is shorthand
+    for a ``"vanishing"`` tail without decay: its cycle is the limits."""
     if not isinstance(doc, dict):
         raise ValidationError("operator document must be a JSON object")
     _require_keys(doc, {"prefix", "tail", "shift"}, {"tail"}, "document")
@@ -126,22 +119,13 @@ def parse_spec_dict(doc) -> BlockOperatorSpec:
     if not isinstance(tail_doc, dict) or "kind" not in tail_doc:
         raise ValidationError("tail: expected an object with a 'kind' key")
     kind = tail_doc["kind"]
-    if kind == "periodic":
-        _require_keys(tail_doc, {"kind", "cycle"}, {"cycle"}, "tail")
-        cycle = tail_doc["cycle"]
-        if not isinstance(cycle, list) or not cycle:
-            raise ValidationError("tail.cycle: expected a non-empty list of matrices")
-        tail = PeriodicTail(
-            tuple(_matrix_from_json(m, f"tail.cycle[{i}]") for i, m in enumerate(cycle))
-        )
-    elif kind == "vanishing":
-        _require_keys(tail_doc, {"kind", "limits", "decay", "seed"}, {"limits"}, "tail")
-        limits = tail_doc["limits"]
-        if not isinstance(limits, list) or not limits:
-            raise ValidationError("tail.limits: expected a non-empty list of matrices")
-        lims = tuple(
-            _matrix_from_json(m, f"tail.limits[{i}]") for i, m in enumerate(limits)
-        )
+    if kind in ("periodic", "vanishing"):
+        key, extra = ("cycle", set()) if kind == "periodic" else ("limits", {"decay", "seed"})
+        _require_keys(tail_doc, {"kind", key} | extra, {key}, "tail")
+        blocks = tail_doc[key]
+        if not isinstance(blocks, list) or not blocks:
+            raise ValidationError(f"tail.{key}: expected a non-empty list of matrices")
+        lims = tuple(_matrix_from_json(m, f"tail.{key}[{i}]") for i, m in enumerate(blocks))
         c, p = 0.0, 1.0
         decay = tail_doc.get("decay")
         if decay is not None:
@@ -174,30 +158,6 @@ def parse_spec(text: str) -> BlockOperatorSpec:
     except json.JSONDecodeError as exc:
         raise ParseError(f"invalid JSON: {exc}") from exc
     return parse_spec_dict(doc)
-
-
-def spec_to_dict(spec: BlockOperatorSpec) -> dict:
-    doc: dict = {}
-    if spec.prefix:
-        doc["prefix"] = [_matrix_to_json(m) for m in spec.prefix]
-    t = spec.tail
-    if isinstance(t, PeriodicTail):
-        doc["tail"] = {"kind": "periodic", "cycle": [_matrix_to_json(m) for m in t.cycle]}
-    elif isinstance(t, VanishingTail):
-        tail_doc = {
-            "kind": "vanishing",
-            "limits": [_matrix_to_json(m) for m in t.limits],
-        }
-        if t.decay_scale:
-            tail_doc["decay"] = {"type": "power", "c": t.decay_scale, "p": t.decay_power}
-        if t.seed:
-            tail_doc["seed"] = t.seed
-        doc["tail"] = tail_doc
-    else:
-        doc["tail"] = {"kind": "builtin", "name": t.name}
-    if spec.shift != 0:
-        doc["shift"] = [spec.shift.real, spec.shift.imag]
-    return doc
 
 
 # -- artifact writers ---------------------------------------------------

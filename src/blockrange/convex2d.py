@@ -436,21 +436,6 @@ class ConvexRegion:
     def translate(self, z: complex) -> "ConvexRegion":
         return ConvexRegion._build(self.vertices + z, self.grid_size)
 
-    def support_excess(self, points) -> np.ndarray:
-        """How far each point pokes outside the supporting halfplanes.
-
-        Non-positive (up to fp) exactly when the point lies in the region;
-        for outside points this is a lower bound for the true distance.
-        """
-        pts = np.asarray(points, dtype=np.complex128).ravel()
-        dirs = np.exp(1j * grid_angles(self.grid_size)).conj()
-        out = np.empty(pts.size, dtype=np.float64)
-        for lo in range(0, pts.size, _CHUNK):
-            hi = min(lo + _CHUNK, pts.size)
-            proj = np.real(pts[lo:hi, None] * dirs[None, :])
-            out[lo:hi] = np.max(proj - self.support[None, :], axis=1)
-        return out
-
     def distance(self, points) -> np.ndarray:
         """Exact Euclidean distance from each point to the region (0 inside)."""
         pts = np.asarray(points, dtype=np.complex128).ravel()

@@ -5,14 +5,15 @@ closed limit superior of the block ranges.  A second route checks it, and
 their disagreement is reported as ``crosscheck_gap``; a gap beyond ten times
 the combined tolerance signals an implementation bug and raises.
 
-For periodic and vanishing tails the limsup is known exactly (one cycle's
-blocks, or the limit blocks L_k), so the support of W_e in direction theta
-is max_k lambda_max(Re(e^{-i theta} L_k)), the top of the essential
+For a limit-block tail (periodic, or vanishing to its limits) the limsup
+is known exactly, the limit blocks L_k, so the support of W_e in direction
+theta is max_k lambda_max(Re(e^{-i theta} L_k)), the top of the essential
 spectrum of Re(e^{-i theta} T) (Fillmore, Stampfli and Williams 1972).  The
 second route compares those eigenvalues with the region's support at the
-grid directions, which checks the hull and the choice of blocks.  A
-vanishing tail also checks its block generator on one round of tail blocks
-through the Lipschitz law |h_{W(B_n)} - h_{W(L_n)}| <= decay(n) (Weyl).
+grid directions, which checks the hull and the choice of blocks.  It also
+checks the block generator on one round of tail blocks through the
+Lipschitz law |h_{W(B_n)} - h_{W(L_n)}| <= decay(n) (Weyl); without decay
+those blocks are the limits themselves, and cost only memo hits.
 
 For dense tails the essential range also equals the intersection over k of
 the hulls of the whole-tail unions starting at k; the second route
@@ -32,9 +33,7 @@ from .blockop import (
     DEFAULT_K_CAP,
     BlockOperatorSpec,
     BuiltinTail,
-    PeriodicTail,
     VanishingTail,
-    _horizon_need,
     limsup_ranges,
     tail_union,
 )
@@ -45,7 +44,7 @@ from .convex2d import (
     hausdorff,
     intersect_regions,
 )
-from .errors import InconsistentResult, NoConvergence
+from .errors import HorizonTooSmall, InconsistentResult, NoConvergence
 from .linalg import DEFAULT_EIG_TOL
 
 _GAP_FACTOR = 10.0
@@ -55,13 +54,13 @@ _GAP_FACTOR = 10.0
 class EssentialRangeResult:
     """Essential numerical range with its supporting evidence.
 
-    ``region`` is the hull of the sampled limsup cloud.  ``crosscheck_gap``
-    is its disagreement with the second route: for periodic and vanishing
-    tails the largest grid-direction difference from the support function
-    of the limit blocks (plus any excess of a vanishing tail's blocks over
-    the Lipschitz law), for dense tails the Hausdorff distance to the
-    intersection of tail-window hulls.  ``tolerance`` combines the cloud
-    resolution, the stabilisation threshold and a floating-point floor.
+    ``region`` is the hull of the limsup cloud.  ``crosscheck_gap`` is its
+    disagreement with the second route: for limit-block tails the largest
+    grid-direction difference from the support function of the limit
+    blocks (plus any excess of the tail blocks over the Lipschitz law), for
+    builtin tails the Hausdorff distance to the intersection of tail-window
+    hulls.  ``tolerance`` combines the cloud resolution, the stabilisation
+    threshold and a floating-point floor.
     """
 
     region: ConvexRegion
@@ -97,6 +96,17 @@ def _check_reach(tail: VanishingTail, eps: float, k_cap: int) -> None:
         )
 
 
+def _check_horizon(spec: BlockOperatorSpec, horizon: int | None) -> None:
+    """Raise HorizonTooSmall when a ``horizon`` override is shorter than the
+    prefix plus one round of limit blocks."""
+    need = spec.prefix_len + len(spec.tail.limits)
+    if horizon is not None and horizon < need:
+        raise HorizonTooSmall(
+            f"window of {horizon} blocks cannot cover the prefix and every limit block "
+            f"({need} blocks)"
+        )
+
+
 def _window_gap(spec, region, converged_at, horizon, grid, tol) -> float:
     """Hausdorff distance from ``region`` to the intersection of the hulls
     of the tail windows at starts 1, 2, 4, ... below ``converged_at``, and
@@ -117,15 +127,11 @@ def _support_gap(region: ConvexRegion, ranges) -> float:
 
 
 def _limit_gap(spec: BlockOperatorSpec, region: ConvexRegion, grid: int, tol: float) -> float:
-    """The support route of a periodic tail (one cycle's blocks) or of a
-    vanishing tail (its shifted limit blocks), the latter raised by how far
-    the tail blocks B_n, n = k0 .. k0 + len(limits) - 1, exceed the law
-    |h_{W(B_n)} - h_{W(L_n)}| <= decay(n) + 1e-9 * norm_bound."""
+    """The support route of a limit-block tail (its shifted limit blocks),
+    raised by how far the tail blocks B_n, n = k0 .. k0 + len(limits) - 1,
+    exceed the law |h_{W(B_n)} - h_{W(L_n)}| <= decay(n) + 1e-9 * norm_bound."""
     t = spec.tail
     k0 = spec.prefix_len + 1
-    if isinstance(t, PeriodicTail):
-        cycle = [spec.cached_block(n) for n in range(k0, k0 + len(t.cycle))]
-        return _support_gap(region, spec.ranges_of(cycle, grid, tol))
     limits = spec.ranges_of([spec.apply_shift(m) for m in t.limits], grid, tol)
     ns = range(k0, k0 + len(t.limits))
     blocks = spec.ranges_of([spec.cached_block(n) for n in ns], grid, tol)
@@ -152,9 +158,8 @@ def essential_numerical_range(
     if isinstance(spec.tail, BuiltinTail):
         gap = _window_gap(spec, region, lim.converged_at, horizon, grid, tol)
     else:
-        if isinstance(spec.tail, VanishingTail):
-            _check_reach(spec.tail, eps, k_cap)
-        _horizon_need(spec, 1, horizon)
+        _check_reach(spec.tail, eps, k_cap)
+        _check_horizon(spec, horizon)
         gap = _limit_gap(spec, region, grid, tol)
 
     tolerance = lim.cloud.resolution + eps + 1e-9 * spec.norm_bound

@@ -31,6 +31,14 @@ def _as_square_array(entries) -> np.ndarray:
     return arr
 
 
+def _pow2_scale(moduli):
+    """The power of two 2^k just above each of ``moduli``: dividing by it
+    is exact and brings the modulus into [0.5, 1).  k is clipped to keep
+    2^k and 2^-k finite, for subnormal and near-overflow moduli (by two
+    ufuncs: ``np.clip`` costs twice as much on the scalar of every block)."""
+    return np.ldexp(1.0, np.minimum(np.maximum(np.frexp(moduli)[1], -1021), 1023))
+
+
 @dataclass(frozen=True)
 class ComplexMatrix:
     """Immutable square complex matrix with a cached operator-norm bound.
@@ -47,12 +55,13 @@ class ComplexMatrix:
         arr = _as_square_array(self.entries)
         arr.setflags(write=False)
         object.__setattr__(self, "entries", arr)
-        frob = float(np.linalg.norm(arr))
+        # norms are taken at unit scale, so that no square over- or underflows
+        s = float(_pow2_scale(np.abs(arr).max()))
         bound = float(self.norm_bound)
         if bound == 0.0:
-            bound = frob
+            bound = float(np.linalg.norm(arr / s)) * s
         else:
-            col_low = float(np.max(np.linalg.norm(arr, axis=0))) if arr.size else 0.0
+            col_low = float(np.max(np.linalg.norm(arr / s, axis=0))) * s
             if bound < col_low - 1e-12 * col_low:
                 raise ValueError(
                     f"norm_bound {bound} is below the column-norm lower bound {col_low}"

@@ -281,7 +281,7 @@ def group_region(
     taken once, and a scalar tail's values."""
     lo, hi = decomp.group_range(m)
     last = min(hi, spec.prefix_len) if spec.tail_is_scalar else hi
-    pts, _ = _attained_vertices(spec, range(lo, last + 1), grid, tol)
+    pts, _ = _attained_vertices(spec, map(spec.cached_block, range(lo, last + 1)), grid, tol)
     if last < hi:
         start = max(lo, last + 1)
         pts.append(spec.window_values(start, hi - start + 1))

@@ -10,7 +10,8 @@ edge and every pair of edges, deciding close calls in rational arithmetic
 in the wedges it sweeps), the eigenvalue oracle bisects the sign of
 the characteristic determinant (the library calls LAPACK through
 ``numpy.linalg.eigh``), and range membership is checked by
-direct Monte-Carlo Rayleigh sampling.
+direct Monte-Carlo Rayleigh sampling, against each supporting halfplane
+of the region in turn.
 """
 
 from __future__ import annotations
@@ -19,7 +20,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from blockrange import BlockOperatorSpec, BuiltinTail, ComplexMatrix, PeriodicTail, VanishingTail
+from blockrange import BlockOperatorSpec, BuiltinTail, ComplexMatrix, VanishingTail
 
 
 # -- random objects -----------------------------------------------------
@@ -92,6 +93,19 @@ def brute_support(points, angles) -> np.ndarray:
     """max Re(x e^{-i theta}) over all the points, for each angle."""
     pts = np.asarray(points, dtype=np.complex128).ravel()
     return np.array([max((p * np.exp(-1j * t)).real for p in pts) for t in angles])
+
+
+def support_excess(region, points) -> np.ndarray:
+    """How far each point pokes outside the region's supporting halfplanes:
+    non-positive (up to fp) exactly when the point lies in the region, and
+    a lower bound for its distance to the region otherwise."""
+    pts = np.asarray(points, dtype=np.complex128).ravel()
+    k = region.support.size
+    dirs = np.exp(-2j * np.pi * np.arange(k) / k)
+    return np.concatenate([  # 4096 points at a time, to bound the memory
+        np.max((pts[lo : lo + 4096, None] * dirs).real - region.support, axis=1)
+        for lo in range(0, pts.size, 4096)
+    ])
 
 
 def brute_diameter(points) -> float:
@@ -313,17 +327,17 @@ DIAG23 = mat(np.diag([2.0, 3.0]))
 
 
 def constant_spec(a: ComplexMatrix) -> BlockOperatorSpec:
-    return BlockOperatorSpec((), PeriodicTail((a,)))
+    return BlockOperatorSpec((), VanishingTail((a,)))
 
 
 def two_matrix_spec() -> BlockOperatorSpec:
-    return BlockOperatorSpec((), PeriodicTail((NILPOTENT, DIAG23)))
+    return BlockOperatorSpec((), VanishingTail((NILPOTENT, DIAG23)))
 
 
 def scalar_periodic_spec(values, prefix=()) -> BlockOperatorSpec:
     cyc = tuple(mat([[v]]) for v in values)
     pre = tuple(mat([[v]]) for v in prefix)
-    return BlockOperatorSpec(pre, PeriodicTail(cyc))
+    return BlockOperatorSpec(pre, VanishingTail(cyc))
 
 
 def vanishing_spec(limits, c=0.0, p=1.0, seed=0, prefix=()) -> BlockOperatorSpec:
@@ -346,9 +360,36 @@ def certified_corpus() -> list[tuple[str, BlockOperatorSpec]]:
         ("scalar_triangle", scalar_periodic_spec([0.0, 1.0, 1j], prefix=[5.0, -3.0 + 1j])),
         ("random_periodic", BlockOperatorSpec(
             (random_matrix(rng, 3),),
-            PeriodicTail((random_matrix(rng, 2), random_matrix(rng, 4))),
+            VanishingTail((random_matrix(rng, 2), random_matrix(rng, 4))),
         )),
         ("vanishing_pair", vanishing_spec(
             [[[0.0, 1.0], [0.0, 0.0]], [[1.5]]], c=0.5, p=1.0, seed=11,
         )),
     ]
+
+
+# -- operator documents ---------------------------------------------------
+
+
+def _matrix_json(m: ComplexMatrix) -> list:
+    return [[[float(e.real), float(e.imag)] for e in row] for row in m.entries]
+
+
+def spec_to_dict(spec: BlockOperatorSpec) -> dict:
+    """The JSON operator document of ``spec``: a tail without decay or seed
+    is written in the ``"periodic"`` shorthand."""
+    doc: dict = {}
+    if spec.prefix:
+        doc["prefix"] = [_matrix_json(m) for m in spec.prefix]
+    t = spec.tail
+    if isinstance(t, BuiltinTail):
+        doc["tail"] = {"kind": "builtin", "name": t.name}
+    elif not (t.decay_scale or t.seed):
+        doc["tail"] = {"kind": "periodic", "cycle": [_matrix_json(m) for m in t.limits]}
+    else:
+        doc["tail"] = {"kind": "vanishing", "limits": [_matrix_json(m) for m in t.limits],
+                       "decay": {"type": "power", "c": t.decay_scale, "p": t.decay_power},
+                       "seed": t.seed}
+    if spec.shift != 0:
+        doc["shift"] = [spec.shift.real, spec.shift.imag]
+    return doc

@@ -20,8 +20,8 @@ import pytest
 from blockrange import (
     BlockOperatorSpec,
     ConvexRegion,
-    PeriodicTail,
     PointCloud,
+    VanishingTail,
     choose_translation,
     essential_numerical_range,
     hausdorff,
@@ -172,7 +172,7 @@ def test_translation_covariance(report):
                 random_matrix(rng, int(rng.integers(1, 4)))
                 for _ in range(int(rng.integers(1, 3)))
             )
-            spec = BlockOperatorSpec((), PeriodicTail(cyc))
+            spec = BlockOperatorSpec((), VanishingTail(cyc))
         else:
             lims = [[[float(rng.normal())]], [[float(rng.normal())]]]
             spec = vanishing_spec(lims, c=float(rng.uniform(0.1, 1.0)),

@@ -7,9 +7,8 @@ import sys
 from pathlib import Path
 
 import blockrange
-from blockrange.cli import spec_to_dict
 
-from helpers import two_matrix_spec, vanishing_spec
+from helpers import spec_to_dict, two_matrix_spec, vanishing_spec
 
 
 def test_all_is_sorted_unique_and_resolves():

@@ -11,7 +11,6 @@ from blockrange import (
     HorizonTooSmall,
     NoConvergence,
     NonConvergence,
-    PeriodicTail,
     PointCloud,
     ValidationError,
     VanishingTail,
@@ -38,7 +37,7 @@ from helpers import (
 
 class TestSpecBasics:
     def test_prefix_then_cycle(self):
-        spec = BlockOperatorSpec((DIAG23,), PeriodicTail((NILPOTENT, DIAG23)))
+        spec = BlockOperatorSpec((DIAG23,), VanishingTail((NILPOTENT, DIAG23)))
         assert spec.block(1) == DIAG23
         assert spec.block(2) == NILPOTENT
         assert spec.block(3) == DIAG23
@@ -49,23 +48,23 @@ class TestSpecBasics:
             two_matrix_spec().block(0)
 
     def test_shift_applies_to_every_block(self):
-        spec = BlockOperatorSpec((DIAG23,), PeriodicTail((NILPOTENT,)), shift=1.0)
+        spec = BlockOperatorSpec((DIAG23,), VanishingTail((NILPOTENT,)), shift=1.0)
         assert_allclose(spec.block(1).entries, np.diag([1.0, 2.0]))
         assert_allclose(spec.block(2).entries, [[-1, 1], [0, -1]])
 
     @pytest.mark.parametrize("shift", [complex("nan"), complex(0, float("inf"))])
     def test_non_finite_shift_rejected(self, shift):
         with pytest.raises(ValidationError):
-            BlockOperatorSpec((), PeriodicTail((NILPOTENT,)), shift=shift)
+            BlockOperatorSpec((), VanishingTail((NILPOTENT,)), shift=shift)
 
     def test_norm_bound_dominates_blocks(self):
-        spec = BlockOperatorSpec((DIAG23,), PeriodicTail((NILPOTENT,)), shift=1j)
+        spec = BlockOperatorSpec((DIAG23,), VanishingTail((NILPOTENT,)), shift=1j)
         for n in range(1, 6):
             assert spec.norm_bound >= np.linalg.norm(spec.block(n).entries, 2) - 1e-12
 
     def test_empty_cycle_rejected(self):
         with pytest.raises(ValidationError):
-            PeriodicTail(())
+            VanishingTail(())
 
     def test_scalar_detection(self):
         assert scalar_periodic_spec([1.0, -1.0]).tail_is_scalar
@@ -193,25 +192,9 @@ class TestDenseAngles:
 
 
 class TestTailUnion:
-    def test_periodic_single(self):
-        cloud = tail_union(constant_spec(NILPOTENT), 1)
-        res = numerical_range(NILPOTENT)
-        assert hausdorff(cloud, PointCloud(res.inner.vertices)) < 1e-12
-
-    def test_periodic_alternating_scalars(self):
-        cloud = tail_union(scalar_periodic_spec([-1.0, 1.0]), 1)
-        assert_allclose(np.sort_complex(np.unique(cloud.points)), [-1 + 0j, 1 + 0j])
-
-    def test_periodic_covers_prefix_remainder(self):
-        spec = BlockOperatorSpec((mat([[5.0]]),), PeriodicTail((mat([[1.0]]),)))
-        cloud = tail_union(spec, 1)
-        assert 5 + 0j in cloud.points.tolist()
-        cloud_past = tail_union(spec, 2)
-        assert 5 + 0j not in cloud_past.points.tolist()
-
     def test_horizon_too_small_raises(self):
         with pytest.raises(HorizonTooSmall):
-            tail_union(two_matrix_spec(), 1, horizon=1)
+            tail_union(dense_spec(), 1, horizon=0)
 
     def test_dense_window_approximates_circle(self):
         cloud = tail_union(dense_spec(), 1, horizon=10**4)
@@ -219,12 +202,18 @@ class TestTailUnion:
         circle = PointCloud(np.exp(1j * th))
         assert hausdorff(cloud, circle) < 0.05
 
-    def test_vanishing_resolution_accounts_decay(self):
-        spec = vanishing_spec([[[0.0]]], c=1.0, p=1.0, seed=1)
-        cloud = tail_union(spec, 1, horizon=10**6)
-        # every sampled point is within 1/n of the limit value 0
-        assert np.abs(cloud.points).max() <= 1.0 + 1e-12
-        assert cloud.resolution > 0
+    def test_covers_prefix_remainder(self):
+        spec = dense_spec(prefix=[mat([[5.0]])])
+        cloud = tail_union(spec, 1, horizon=16)
+        assert 5 + 0j in cloud.points.tolist()
+        cloud_past = tail_union(spec, 2, horizon=16)
+        assert 5 + 0j not in cloud_past.points.tolist()
+
+    @pytest.mark.parametrize("c", [0.0, 1.0], ids=["periodic", "vanishing"])
+    def test_limit_block_tail_rejected(self, c):
+        # the limsup of a limit-block tail is its limit blocks; no window
+        with pytest.raises(ValidationError):
+            tail_union(vanishing_spec([NILPOTENT, [[1.5]]], c=c), 1)
 
 
 class TestLimsup:
@@ -276,14 +265,14 @@ class TestRangeMemo:
     TOL = 1e-10
 
     def test_period_shares_the_result_object(self):
-        spec = BlockOperatorSpec((DIAG23,), PeriodicTail((NILPOTENT, DIAG23)))
+        spec = BlockOperatorSpec((DIAG23,), VanishingTail((NILPOTENT, DIAG23)))
         for n in (2, 3, 6):
             first = spec.range_of(spec.block(n), self.GRID, self.TOL)
             assert spec.range_of(spec.block(n + 2), self.GRID, self.TOL) is first
 
     def test_new_and_translated_specs_start_empty(self):
         spec = two_matrix_spec()
-        tail_union(spec, 1, grid=self.GRID)
+        limsup_ranges(spec, grid=self.GRID)
         assert len(spec._ranges) == 2
         assert translate_spec(spec, 1.0)._ranges == {}
         assert two_matrix_spec()._ranges == {}
@@ -296,15 +285,15 @@ class TestRangeMemo:
 
     def test_memo_stays_within_its_cap(self):
         # every block of a decaying non-scalar tail is distinct, and three
-        # 256-block windows ask for more ranges than the memo holds
+        # requests of 256 blocks ask for more ranges than the memo holds
         spec = vanishing_spec([NILPOTENT], c=0.5, p=1.0, seed=3)
         for start in (1, 257, 513):
-            tail_union(spec, start, grid=8)
+            spec.ranges_of(map(spec.cached_block, range(start, start + 256)), 8, self.TOL)
             assert len(spec._ranges) <= _RANGE_MEMO_CAP
         assert len(spec._ranges) == _RANGE_MEMO_CAP
 
     def test_blocks_are_built_once_per_index(self, monkeypatch):
-        # overlapping windows of a vanishing tail reuse the blocks already
+        # overlapping runs of a vanishing tail reuse the blocks already
         # built instead of rebuilding them from their seeded perturbations
         built = []
         build = BlockOperatorSpec.block
@@ -316,15 +305,17 @@ class TestRangeMemo:
         monkeypatch.setattr(BlockOperatorSpec, "block", counting)
         spec = vanishing_spec([NILPOTENT], c=0.5, p=1.0, seed=3)
         for start in (1, 129):
-            tail_union(spec, start, grid=8)
+            for n in range(start, start + 256):
+                spec.cached_block(n)
         assert sorted(built) == list(range(1, 385))
         assert spec.cached_block(200) is spec.cached_block(200)
         assert len(spec._blocks) <= _RANGE_MEMO_CAP
         assert translate_spec(spec, 1.0)._blocks == {}
 
     def test_periodic_blocks_are_built_once_per_cycle_position(self, monkeypatch):
-        # a periodic block depends only on its position in the cycle, so
-        # the memo keys it by the first index that has the same block
+        # without decay a block depends only on its position in the cycle,
+        # whatever the seed, so the memo keys it by the first index that has
+        # the same block, which is the shifted limit block bit for bit
         built = []
         build = BlockOperatorSpec.block
 
@@ -334,17 +325,25 @@ class TestRangeMemo:
 
         monkeypatch.setattr(BlockOperatorSpec, "block", counting)
         cycle = (NILPOTENT, DIAG23, mat([[1j]]))
-        spec = BlockOperatorSpec((DIAG23,), PeriodicTail(cycle), shift=0.5 - 1j)
-        for n in (2, 3, 4, 5, 17, 3000):
-            assert spec.cached_block(n) is spec.cached_block(n + len(cycle))
-            assert spec.cached_block(n) == build(spec, n)
-        assert spec.cached_block(1) == build(spec, 1)
-        assert sorted(built) == [1, 2, 3, 4]
+        for seed in (0, 7):
+            spec = BlockOperatorSpec((DIAG23,), VanishingTail(cycle, seed=seed), shift=0.5 - 1j)
+            built.clear()
+            for n in (2, 3, 4, 5, 17, 3000):
+                assert spec.cached_block(n) is spec.cached_block(n + len(cycle))
+                assert spec.cached_block(n) == build(spec, n)
+                lim = spec.apply_shift(cycle[(n - 2) % len(cycle)])
+                assert spec.cached_block(n).entries.tobytes() == lim.entries.tobytes()
+            assert spec.cached_block(1) == build(spec, 1)
+            assert sorted(built) == [1, 2, 3, 4]
+
+    def test_decaying_blocks_are_not_folded(self):
+        spec = vanishing_spec([NILPOTENT], c=0.5, seed=3)
+        assert spec.cached_block(2) != spec.cached_block(3)
 
     def test_one_eigensolve_per_window(self, monkeypatch):
         # a vanishing tail of one 3x3 limit and two scalar limits: the limits
-        # are one request, each window another, and a window overlapping an
-        # earlier one solves only its new 3x3 blocks
+        # are one request, each run of tail blocks another, and a run
+        # overlapping an earlier one solves only its new 3x3 blocks
         solved = []
         solve = blockrange.numrange.max_eigenpairs_batch
 
@@ -358,18 +357,18 @@ class TestRangeMemo:
         limsup_ranges(spec, grid=8)
         assert solved == [4]  # one block, half of the 8 directions
         solved.clear()
-        tail_union(spec, 1, grid=8)
+        spec.ranges_of(map(spec.cached_block, range(1, 257)), 8, self.TOL)
         # blocks 1, 4, ..., 256 are the 3x3 ones
         assert solved == [4 * 86]
         solved.clear()
-        tail_union(spec, 129, grid=8)
+        spec.ranges_of(map(spec.cached_block, range(129, 385)), 8, self.TOL)
         # blocks 129 .. 384 overlap the first window up to 256
         assert solved == [4 * len(range(259, 385, 3))]
 
     def test_memo_is_invisible_to_equality_hash_and_repr(self):
         spec = two_matrix_spec()
         before = (hash(spec), repr(spec))
-        tail_union(spec, 1, grid=self.GRID)
+        limsup_ranges(spec, grid=self.GRID)
         assert spec._ranges
         assert (hash(spec), repr(spec)) == before
         assert spec == replace(spec) == two_matrix_spec()

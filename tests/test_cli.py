@@ -19,8 +19,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import blockrange
-from blockrange import BlockOperatorSpec, ParseError, PeriodicTail, ValidationError
-from blockrange.cli import main, parse_spec, parse_spec_dict, spec_to_dict
+from blockrange import BlockOperatorSpec, ParseError, ValidationError, VanishingTail
+from blockrange.cli import main, parse_spec, parse_spec_dict
 
 from helpers import (
     DIAG23,
@@ -28,6 +28,7 @@ from helpers import (
     dense_spec,
     mat,
     scalar_periodic_spec,
+    spec_to_dict,
     two_matrix_spec,
     vanishing_spec,
 )
@@ -245,7 +246,7 @@ class TestDecomposeVerify:
             return build(spec, n)
 
         monkeypatch.setattr(BlockOperatorSpec, "block", counting)
-        spec = BlockOperatorSpec((DIAG23,), PeriodicTail((NILPOTENT, DIAG23, mat([[1j]]))))
+        spec = BlockOperatorSpec((DIAG23,), VanishingTail((NILPOTENT, DIAG23, mat([[1j]]))))
         path = write_spec(tmp_path, spec)
         assert main(["decompose", path, "--groups", "8", "--eps", "0.5"]) == 0
         per_spec = Counter(owner for owner, _ in built)
@@ -268,6 +269,29 @@ class TestDecomposeVerify:
         identity = json.loads(base.read_text())["conv_free_gap"]
         assert regrouped < 1e-9
         assert identity > 0.5
+
+
+@pytest.mark.parametrize("command", ["essential", "decompose", "verify", "range"])
+def test_periodic_document_is_a_vanishing_tail_without_decay(tmp_path, capsys, command):
+    """The ``"periodic"`` spelling and a ``"vanishing"`` document without
+    decay describe one operator, and give the same bytes everywhere."""
+    blocks = [[[[0, 0], [1, 0]], [[0, 0], [0, 0.5]]], [[[1.5, -0.5]]],
+              [[[0.5, 0], [0, 1]], [[-1, 0], [0, 0]]]]
+    prefix = [[[[3, 1]]]]
+    docs = {"periodic": {"kind": "periodic", "cycle": blocks},
+            "vanishing": {"kind": "vanishing", "limits": blocks}}
+    extra = {"decompose": ["--groups", "6"], "verify": ["--groups", "6"], "range": ["--block", "4"]}
+    outs = []
+    for name, tail in docs.items():
+        path = write_spec(tmp_path, {"prefix": prefix, "tail": tail, "shift": [0.25, -0.5]},
+                          f"{name}.json")
+        arts = {k: tmp_path / f"{name}.{k}" for k in ("csv", "svg", "cert")}
+        argv = [command, path, "--angles", "90", "--eps", "0.5", *extra.get(command, [])]
+        argv += [arg for k, p in arts.items() for arg in (f"--{k}", str(p))]
+        assert main(argv) == 0
+        outs.append((capsys.readouterr().out, {k: p.read_bytes() for k, p in arts.items() if p.exists()}))
+    assert outs[0] == outs[1]
+    assert outs[0][1]
 
 
 class TestExitCodes:

@@ -3,8 +3,9 @@
 The essential range is the hull of the limsup cloud; every test here pins it
 against something computable by hand (cycles, explicit limits, translations)
 or against the second route, whose gap is carried on the result as
-``crosscheck_gap``: the support function of the limit blocks for periodic and
-vanishing tails, the intersection of tail-window hulls for dense tails.
+``crosscheck_gap``: the support function of the limit blocks for limit-block
+tails (periodic or vanishing), the intersection of tail-window hulls for dense
+tails.
 """
 
 from dataclasses import replace
@@ -18,7 +19,6 @@ from blockrange import (
     ConvexRegion,
     HorizonTooSmall,
     InconsistentResult,
-    PeriodicTail,
     PointCloud,
     VanishingTail,
     essential_numerical_range,
@@ -108,7 +108,7 @@ class TestScale:
         c = 1e-13
         base = essential_numerical_range(two_matrix_spec(), eps=1e-3)
         cycle = tuple(mat(c * m.entries) for m in (NILPOTENT, DIAG23))
-        tiny = essential_numerical_range(BlockOperatorSpec((), PeriodicTail(cycle)), eps=c * 1e-3)
+        tiny = essential_numerical_range(BlockOperatorSpec((), VanishingTail(cycle)), eps=c * 1e-3)
         assert tiny.tolerance == pytest.approx(c * base.tolerance, rel=1e-9, abs=0)
         scaled = ConvexRegion.from_points(c * base.region.vertices)
         assert hausdorff(tiny.region, scaled) <= c * 1e-12
@@ -142,7 +142,7 @@ class TestConsistencyGate:
             mat(rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2)))
             for _ in range(3)
         )
-        res = essential_numerical_range(BlockOperatorSpec((), PeriodicTail(cycle)))
+        res = essential_numerical_range(BlockOperatorSpec((), VanishingTail(cycle)))
         assert res.crosscheck_gap <= res.tolerance
 
 
@@ -156,7 +156,8 @@ def _without_last(fn):
 
 class TestCrosscheckCatchesFaults:
     """One fault planted in the main route, per tail kind, must make the
-    second route disagree and the gate raise."""
+    second route disagree and the gate raise.  Both limit-block cases drop
+    the last limit from the blocks ``limsup_ranges`` hulls."""
 
     def test_periodic_block_dropped_from_the_hull(self, monkeypatch):
         monkeypatch.setattr(blockop, "_attained_vertices", _without_last(blockop._attained_vertices))
@@ -164,7 +165,7 @@ class TestCrosscheckCatchesFaults:
             essential_numerical_range(two_matrix_spec())
 
     def test_vanishing_limit_dropped_from_the_hull(self, monkeypatch):
-        monkeypatch.setattr(blockop, "_limit_vertices", _without_last(blockop._limit_vertices))
+        monkeypatch.setattr(blockop, "_attained_vertices", _without_last(blockop._attained_vertices))
         with pytest.raises(InconsistentResult):
             essential_numerical_range(vanishing_spec([NILPOTENT, [[1.5]]], c=0.5))
 

@@ -24,6 +24,7 @@ from helpers import (
     random_unit_vector,
     random_unitary,
     rayleigh_samples,
+    support_excess,
     NILPOTENT,
     DIAG23,
 )
@@ -86,7 +87,7 @@ class TestNumericalRange:
             a = random_matrix(rng, n)
             res = numerical_range(a, grid=360)
             samples = rayleigh_samples(a.entries, 20000, seed=7)
-            assert res.outer.support_excess(samples).max() <= 1e-9
+            assert support_excess(res.outer, samples).max() <= 1e-9
 
     def test_monte_carlo_extremes_near_inner(self, rng):
         a = random_matrix(rng, 3)
@@ -102,7 +103,7 @@ class TestNumericalRange:
         res = numerical_range(a, grid=90)
         # every attained point must lie inside the outer region (it is a
         # genuine quadratic-form value)
-        assert res.outer.support_excess(res.attained).max() <= 1e-9
+        assert support_excess(res.outer, res.attained).max() <= 1e-9
 
     def test_gap_shrinks_under_grid_refinement(self, rng):
         for _ in range(5):
@@ -132,7 +133,7 @@ class TestNumericalRange:
         res = numerical_range(a, grid=360)
         for _ in range(50):
             v = rayleigh(a, random_unit_vector(rng, 6))
-            assert res.outer.support_excess([v])[0] <= 1e-9
+            assert support_excess(res.outer, [v])[0] <= 1e-9
 
     def test_repeated_call_is_fresh_and_equal(self, rng):
         # numerical_range keeps no state: memoising is the spec's job
@@ -154,6 +155,22 @@ class TestNumericalRange:
             assert np.max(np.abs(res.outer.support / c - base.outer.support)) < 1e-12
             assert np.max(np.abs(res.attained / c - base.attained)) < 1e-12
             assert res.gap / c == pytest.approx(base.gap, rel=1e-9)
+
+    def test_covariance_beyond_squarable_scales(self, rng):
+        # squares of entries past 1e154 overflow and below 1e-154 lose
+        # precision; each block is solved at unit scale and scaled back
+        a = random_matrix(rng, 4)
+        base = numerical_range(a)
+        for c in (1e160, 1e-160, 1e200, 1e-200, 1e300, 1e-300):
+            m = ComplexMatrix(c * a.entries)
+            res = numerical_range(m)
+            top = np.abs(base.outer.support).max()
+            for got, want in ((res.outer.support, base.outer.support),
+                              (res.inner.support, base.inner.support),
+                              (res.attained, base.attained)):
+                assert np.abs(got / c - want).max() <= 1e-12 * top, c
+            assert abs(res.gap / c - base.gap) <= 1e-12 * top
+            assert m.norm_bound / c == pytest.approx(a.norm_bound, rel=1e-12)
 
     def test_hermitian_matrix_gives_real_segment(self, rng):
         h = ComplexMatrix(np.diag([1.0, 2.0, 4.0]))
@@ -324,14 +341,17 @@ class TestStackedRanges:
         single = blockrange.numrange.hausdorff
 
         def counting(a, b):
-            fallback.append(a)
+            fallback.append(a.vertices)
             return single(a, b)
 
         monkeypatch.setattr(blockrange.numrange, "hausdorff", counting)
         mats = [random_matrix(rng, 3), ComplexMatrix(np.diag([1.0, 1j, -1.0])),
                 random_matrix(rng, 3), ComplexMatrix(np.diag([2.0, -1j, 0.5]))]
         stacked = numerical_ranges(mats, 360)
-        hulled = [i for i, r in enumerate(stacked) if any(r.inner is f for f in fallback)]
+        # a row is solved at the scale 2^k just above its largest entry
+        scales = [2.0 ** np.frexp(np.abs(m.entries).max())[1] for m in mats]
+        hulled = [i for i, (r, s) in enumerate(zip(stacked, scales))
+                  if any(np.array_equal(r.inner.vertices, s * v) for v in fallback)]
         assert hulled == [1, 3] and len(fallback) == 2
 
     def test_large_stacks_are_split(self, rng, monkeypatch):
@@ -397,7 +417,7 @@ class TestBlockNumericalRange:
         big = self.check_direct_sum_law(blocks, grid=360)
         dense = assemble_block_diagonal(blocks)
         samples = rayleigh_samples(dense, 50000, seed=5)
-        assert big.outer.support_excess(samples).max() <= 1e-9
+        assert support_excess(big.outer, samples).max() <= 1e-9
         # exact witnesses: vectors supported on one block reproduce that
         # block's values inside the assembled operator
         e4 = np.zeros(4)
