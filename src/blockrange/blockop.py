@@ -32,7 +32,7 @@ from typing import ClassVar, Union
 
 import numpy as np
 
-from .convex2d import DEFAULT_GRID, PointCloud, hausdorff
+from .convex2d import DEFAULT_GRID, PointCloud
 from .errors import HorizonTooSmall, NoConvergence, ValidationError
 from .linalg import DEFAULT_EIG_TOL, ComplexMatrix
 from .numrange import NumericalRangeResult, numerical_ranges
@@ -346,49 +346,45 @@ def _circle_covering_radius(values: np.ndarray) -> float:
     return float(2.0 * np.sin(worst / 4.0))
 
 
-def tail_union(
-    spec: BlockOperatorSpec,
-    start: int = 1,
-    horizon: int | None = None,
-    grid: int = DEFAULT_GRID,
-    tol: float = DEFAULT_EIG_TOL,
-) -> PointCloud:
-    """Sampled union of the block ranges W(B_n) of an operator with a
-    builtin tail, over the ``horizon`` blocks from ``start`` on.
+def _circle_hausdorff(a: PointCloud, b: PointCloud, centre: complex) -> float:
+    """Hausdorff distance of two clouds on one circle about ``centre``.  The
+    chord grows with the angle, so a point's nearest point in the other
+    cloud is one of its two angular neighbours there: one sort and one
+    ``searchsorted`` each way give the exact distance."""
+    worst = 0.0
+    for ref, query in ((a.points, b.points), (b.points, a.points)):
+        ang = np.angle(ref - centre)
+        order = np.argsort(ang)
+        ring = ref[order]
+        at = np.searchsorted(ang[order], np.angle(query - centre))
+        ends = (query - ring[at - 1], query - ring[at % ring.size])
+        sq = np.minimum(*(np.square(d.real) + np.square(d.imag) for d in ends))
+        worst = max(worst, float(np.sqrt(sq.max())))
+    return worst
 
-    The window's prefix blocks give their attained-boundary vertices, its
-    tail blocks their values; the resolution is the prefix blocks' worst
-    sandwich gap plus the tail values' angular covering radius.  A
-    limit-block tail needs no window, since its limsup is exactly the union
-    of its limit blocks' ranges, and raises ValidationError.
+
+def tail_union(spec: BlockOperatorSpec, start: int, horizon: int | None = None) -> PointCloud:
+    """Union of the block ranges W(B_n) of an operator with a builtin tail,
+    over the ``horizon`` tail blocks from ``start`` on: points of the unit
+    circle about -shift, with their angular covering radius as resolution.
+
+    A ``start`` within the prefix raises ValidationError, and so does a
+    limit-block tail, whose limsup is exactly its limit blocks' ranges.
     """
-    if start < 1:
-        raise ValidationError(f"start must be >= 1, got {start}")
+    p = len(spec.prefix)
+    if start <= p:
+        raise ValidationError(f"window start must lie past the {p} prefix blocks, got {start}")
     t = spec.tail
     if not isinstance(t, BuiltinTail):
         raise ValidationError(
             "tail windows sample builtin tails; a limit-block tail's limsup is its limit blocks"
         )
-    p = len(spec.prefix)
-    prefix_left = max(p - start + 1, 0)
     if horizon is None:
         horizon = max(1024, start)
     if horizon < 1:
         raise HorizonTooSmall("window must contain at least one block")
-    pts = []
-    gap = 0.0
-    if prefix_left > 0:
-        pre = range(start, start + min(prefix_left, horizon))
-        pre_pts, gap = _attained_vertices(spec, map(spec.cached_block, pre), grid, tol)
-        pts.extend(pre_pts)
-    tail_count = horizon - min(prefix_left, horizon)
-    resolution = gap
-    if tail_count > 0:
-        first_pos = max(start, p + 1) - p - 1
-        vals = t.values(first_pos, tail_count)
-        pts.append(vals - spec.shift)
-        resolution = gap + _circle_covering_radius(vals)
-    return PointCloud(np.concatenate(pts), resolution)
+    vals = t.values(start - p - 1, horizon)
+    return PointCloud(vals - spec.shift, _circle_covering_radius(vals))
 
 
 @dataclass(frozen=True)
@@ -417,8 +413,8 @@ def limsup_ranges(
 
     The limsup of a limit-block tail is exactly the union of its shifted
     limit blocks' ranges, certified at the first tail index; a builtin tail
-    is driven by doubling the window start until consecutive unions agree
-    within ``eps``.
+    is driven by doubling the window start from the first tail index until
+    consecutive unions, on one circle, agree within ``eps``.
     """
     if not (math.isfinite(eps) and eps > 0):
         raise ValidationError(f"eps must be finite and positive, got {eps}")
@@ -434,7 +430,7 @@ def limsup_ranges(
         return LimsupResult(PointCloud(np.concatenate(pts), gap), k0, ((k0, 0.0),))
 
     start = k0
-    prev = tail_union(spec, start, horizon, grid, tol)
+    prev = tail_union(spec, start, horizon)
     cert: list[tuple[int, float]] = []
     while True:
         nxt_start = 2 * start
@@ -443,11 +439,11 @@ def limsup_ranges(
                 f"window start would exceed the cap {k_cap} before the unions "
                 f"stabilised to {eps}"
             )
-        nxt = tail_union(spec, nxt_start, horizon, grid, tol)
+        nxt = tail_union(spec, nxt_start, horizon)
         # The window must both agree with its successor and resolve the set
         # it samples: agreement alone can hold between two equally coarse
         # windows.
-        d = max(float(hausdorff(prev, nxt)), float(nxt.resolution))
+        d = max(_circle_hausdorff(prev, nxt, -spec.shift), float(nxt.resolution))
         cert.append((start, d))
         if d <= eps:
             return LimsupResult(

@@ -37,12 +37,10 @@ coincident survivors merge, and Graham's scan without the stack (Graham
 1972), run on Andrew's lexicographic ring, deletes in each numpy pass the
 vertices that do not turn strictly left.  The ring left certifies itself.
 
-All of the above is numpy alone.  Only the distances between two point
-clouds (``hausdorff`` of two clouds, which the doubling stop rule of a
-dense tail takes, and ``nested_conv_exchange``) search nearest neighbours,
-by scipy's kd-tree; scipy is imported at the first such comparison, so
-that importing the package, and every pipeline that compares no clouds,
-leaves it unloaded.
+The module is numpy alone.  The distances between two point clouds
+(``hausdorff`` of two clouds, and the nesting test of
+``nested_conv_exchange``) search nearest neighbours by brute force, about
+2^20 point pairs per numpy pass; no pipeline compares two clouds.
 """
 
 from __future__ import annotations
@@ -355,14 +353,14 @@ class PointCloud:
         pts = np.asarray(self.points, dtype=np.complex128).ravel()
         if pts.size == 0:
             raise EmptyInput("a point cloud must contain at least one point")
-        if not np.all(np.isfinite(pts.view(np.float64))):
-            raise ValueError("cloud points must be finite")
+        if not np.isfinite(pts).all():
+            raise ValidationError("cloud points must be finite")
         pts = np.ascontiguousarray(pts)
         pts.setflags(write=False)
         object.__setattr__(self, "points", pts)
         res = float(self.resolution)
         if res < 0 or not np.isfinite(res):
-            raise ValueError(f"resolution must be a finite non-negative float, got {res}")
+            raise ValidationError(f"resolution must be a finite non-negative float, got {res}")
         object.__setattr__(self, "resolution", res)
 
     def __len__(self) -> int:
@@ -398,6 +396,8 @@ class ConvexRegion:
         pts = np.asarray(points, dtype=np.complex128).ravel()
         if pts.size == 0:
             raise EmptyInput("cannot take the hull of an empty point set")
+        if not np.isfinite(pts).all():
+            raise ValidationError("hull points must be finite")
         return cls._build(_hull_vertices(pts), grid)
 
     @classmethod
@@ -413,7 +413,9 @@ class ConvexRegion:
         h = np.asarray(support, dtype=np.float64).ravel()
         k = h.size if grid is None else grid
         if h.size != k:
-            raise ValueError(f"support has {h.size} entries, expected {k}")
+            raise ValidationError(f"support has {h.size} entries, expected {k}")
+        if not np.isfinite(h).all():
+            raise ValidationError("support values must be finite")
         return cls._build(_hull_vertices(_support_vertices(h, grid_angles(k))), k)
 
     # -- basic geometry --------------------------------------------------
@@ -470,14 +472,13 @@ def _cloud_points(x) -> np.ndarray:
 
 def _nearest(ref: np.ndarray, query: np.ndarray) -> np.ndarray:
     """Distance from each point of ``query`` to the nearest point of ``ref``
-    (complex arrays), by a kd-tree on ``ref``.  scipy is imported here, so
-    that only the comparison of two clouds loads it."""
-    from scipy.spatial import cKDTree
-
-    def xy(pts):
-        return np.column_stack((pts.real, pts.imag))
-
-    return cKDTree(xy(ref)).query(xy(query))[0]
+    (complex arrays), by brute force over about 2^20 pairs at a time."""
+    step = max(1, 2**20 // ref.size)
+    out = np.empty(query.size)
+    for lo in range(0, query.size, step):
+        d = query[lo : lo + step, None] - ref[None, :]
+        out[lo : lo + step] = np.sqrt((d.real * d.real + d.imag * d.imag).min(axis=1))
+    return out
 
 
 def _fan_hausdorff(va, fa, vb, fb):

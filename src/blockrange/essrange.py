@@ -15,10 +15,13 @@ checks the block generator on one round of tail blocks through the
 Lipschitz law |h_{W(B_n)} - h_{W(L_n)}| <= decay(n) (Weyl); without decay
 those blocks are the limits themselves, and cost only memo hits.
 
-For dense tails the essential range also equals the intersection over k of
-the hulls of the whole-tail unions starting at k; the second route
-intersects the window hulls at doubling starts, the region standing in for
-the last window.
+The same law serves a dense tail: the support of W_e in direction theta
+is the limsup of the block supports, the infimum over k of the supports of
+the tail unions from block k on.  The second route samples those unions by
+the windows at the doubling starts below ``converged_at``, reads their grid
+supports straight from their points, and measures how far the region's
+support exceeds the smallest of them.  It builds no hull and intersects
+nothing.
 """
 
 from __future__ import annotations
@@ -37,13 +40,7 @@ from .blockop import (
     limsup_ranges,
     tail_union,
 )
-from .convex2d import (
-    DEFAULT_GRID,
-    ConvexRegion,
-    PointCloud,
-    hausdorff,
-    intersect_regions,
-)
+from .convex2d import DEFAULT_GRID, ConvexRegion, PointCloud, grid_angles
 from .errors import HorizonTooSmall, InconsistentResult, NoConvergence
 from .linalg import DEFAULT_EIG_TOL
 
@@ -58,8 +55,9 @@ class EssentialRangeResult:
     disagreement with the second route: for limit-block tails the largest
     grid-direction difference from the support function of the limit
     blocks (plus any excess of the tail blocks over the Lipschitz law), for
-    builtin tails the Hausdorff distance to the intersection of tail-window
-    hulls.  ``tolerance`` combines the cloud resolution, the stabilisation
+    builtin tails the largest grid-direction excess of the region's support
+    over the smallest support of the tail windows at the doubling starts.
+    ``tolerance`` combines the cloud resolution, the stabilisation
     threshold and a floating-point floor.
     """
 
@@ -107,29 +105,29 @@ def _check_horizon(spec: BlockOperatorSpec, horizon: int | None) -> None:
         )
 
 
-def _window_gap(spec, region, converged_at, horizon, grid, tol) -> float:
-    """Hausdorff distance from ``region`` to the intersection of the hulls
-    of the tail windows at starts 1, 2, 4, ... below ``converged_at``, and
-    at ``converged_at``: that window is the cloud ``region`` hulls, so
-    ``region`` stands in for it, and each earlier window is hulled once."""
-    inter: ConvexRegion | None = None
-    for start in [2**i for i in range(converged_at.bit_length()) if 2**i < converged_at]:
-        hull = ConvexRegion.from_points(tail_union(spec, start, horizon, grid, tol).points, grid)
-        inter = hull if inter is None else intersect_regions(inter, hull)
-    return float(hausdorff(region, region if inter is None else intersect_regions(inter, region)))
-
-
-def _support_gap(region: ConvexRegion, ranges) -> float:
-    """Largest grid-direction difference between the support of ``region``
-    and the largest outer support (lambda_max) over ``ranges``."""
-    h = np.max([r.outer.support for r in ranges], axis=0)
-    return float(np.abs(h - region.support).max())
+def _window_gap(spec: BlockOperatorSpec, region: ConvexRegion, converged_at: int, horizon) -> float:
+    """Largest excess of the support of ``region`` over the smallest support
+    of the tail windows at the doubling starts k0 * 2^i below
+    ``converged_at``, at the grid directions.  Each window's support is read
+    from its points, 2048 at a time; none is hulled."""
+    th = grid_angles(region.grid_size)
+    dirs = np.column_stack((np.cos(th), np.sin(th)))
+    low, start = np.inf, spec.prefix_len + 1
+    while start < converged_at:
+        pts = tail_union(spec, start, horizon).points
+        xy = np.stack((pts.real, pts.imag))
+        h = [(dirs @ xy[:, lo : lo + 2048]).max(axis=1) for lo in range(0, pts.size, 2048)]
+        low = np.minimum(low, np.max(h, axis=0))
+        start *= 2
+    return max(0.0, float((region.support - low).max()))
 
 
 def _limit_gap(spec: BlockOperatorSpec, region: ConvexRegion, grid: int, tol: float) -> float:
-    """The support route of a limit-block tail (its shifted limit blocks),
-    raised by how far the tail blocks B_n, n = k0 .. k0 + len(limits) - 1,
-    exceed the law |h_{W(B_n)} - h_{W(L_n)}| <= decay(n) + 1e-9 * norm_bound."""
+    """The support route of a limit-block tail: the largest grid-direction
+    difference between the support of ``region`` and the largest outer
+    support (lambda_max) of the shifted limit blocks, raised by how far the
+    tail blocks B_n, n = k0 .. k0 + len(limits) - 1, exceed the law
+    |h_{W(B_n)} - h_{W(L_n)}| <= decay(n) + 1e-9 * norm_bound."""
     t = spec.tail
     k0 = spec.prefix_len + 1
     limits = spec.ranges_of([spec.apply_shift(m) for m in t.limits], grid, tol)
@@ -140,7 +138,8 @@ def _limit_gap(spec: BlockOperatorSpec, region: ConvexRegion, grid: int, tol: fl
         float(np.abs(b.outer.support - lim.outer.support).max()) - t.decay(n) - floor
         for n, b, lim in zip(ns, blocks, limits)
     )
-    return max(_support_gap(region, limits), excess)
+    h = np.max([lim.outer.support for lim in limits], axis=0)
+    return max(float(np.abs(h - region.support).max()), excess)
 
 
 def essential_numerical_range(
@@ -156,7 +155,7 @@ def essential_numerical_range(
     region = ConvexRegion.from_points(lim.cloud.points, grid)
 
     if isinstance(spec.tail, BuiltinTail):
-        gap = _window_gap(spec, region, lim.converged_at, horizon, grid, tol)
+        gap = _window_gap(spec, region, lim.converged_at, horizon)
     else:
         _check_reach(spec.tail, eps, k_cap)
         _check_horizon(spec, horizon)

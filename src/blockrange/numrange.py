@@ -48,6 +48,7 @@ from .convex2d import (
     grid_angles,
     hausdorff,
 )
+from .errors import ValidationError
 from .linalg import DEFAULT_EIG_TOL, ComplexMatrix, _pow2_scale, max_eigenpairs_batch
 
 # Rotated Hermitian parts stacked into one eigensolve hold at most this many
@@ -97,6 +98,8 @@ def numerical_ranges(
     block alone.  The blocks are solved in stacks of at most
     ``_STACK_ENTRIES`` matrix entries.
     """
+    if not (np.isfinite(tol) and tol >= 0):
+        raise ValidationError(f"tol must be finite and non-negative, got {tol}")
     th = grid_angles(grid)
     mats = list(mats)
     if not mats:

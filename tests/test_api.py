@@ -8,7 +8,7 @@ from pathlib import Path
 
 import blockrange
 
-from helpers import spec_to_dict, two_matrix_spec, vanishing_spec
+from helpers import dense_spec, mat, spec_to_dict, two_matrix_spec, vanishing_spec
 
 
 def test_all_is_sorted_unique_and_resolves():
@@ -28,7 +28,6 @@ def _python(code: str) -> subprocess.CompletedProcess:
 
 
 def test_cold_import_loads_no_scipy():
-    # scipy's kd-tree is imported only where two point clouds are compared
     proc = _python(
         "import sys, blockrange, blockrange.cli\n"
         "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
@@ -37,17 +36,20 @@ def test_cold_import_loads_no_scipy():
     assert proc.stdout.strip() == "[]"
 
 
-def test_pipelines_that_compare_no_clouds_run_without_scipy(tmp_path):
+def test_every_pipeline_runs_without_scipy(tmp_path):
     # a None entry in sys.modules makes every scipy import fail
     periodic, vanishing = tmp_path / "periodic.json", tmp_path / "vanishing.json"
+    dense = tmp_path / "dense.json"
     periodic.write_text(json.dumps(spec_to_dict(two_matrix_spec())))
     vanishing.write_text(json.dumps(spec_to_dict(
         vanishing_spec([[[0, 1], [0, 0]], [[1.5]]], c=0.5, p=1.0, seed=11))))
+    dense.write_text(json.dumps(spec_to_dict(dense_spec(prefix=[mat([[2.0 - 1j]])]))))
     runs = [
         ["decompose", str(periodic), "--groups", "8", "--eps", "0.5"],
         ["verify", str(periodic), "--groups", "8", "--eps", "0.5"],
         ["range", str(periodic), "--block", "2"],
         ["essential", str(vanishing)],
+        ["essential", str(dense), "--eps", "0.05", "--k-cap", "65536"],
     ]
     proc = _python(
         "import sys\n"
@@ -56,4 +58,4 @@ def test_pipelines_that_compare_no_clouds_run_without_scipy(tmp_path):
         f"print([main(argv) for argv in {runs!r}])"
     )
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.strip().splitlines()[-1] == "[0, 0, 0, 0]"
+    assert proc.stdout.strip().splitlines()[-1] == "[0, 0, 0, 0, 0]"

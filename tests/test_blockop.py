@@ -21,7 +21,7 @@ from blockrange import (
     translate_spec,
 )
 import blockrange.numrange
-from blockrange.blockop import _RANGE_MEMO_CAP
+from blockrange.blockop import _RANGE_MEMO_CAP, _circle_hausdorff
 
 from helpers import (
     DIAG23,
@@ -202,12 +202,31 @@ class TestTailUnion:
         circle = PointCloud(np.exp(1j * th))
         assert hausdorff(cloud, circle) < 0.05
 
-    def test_covers_prefix_remainder(self):
-        spec = dense_spec(prefix=[mat([[5.0]])])
-        cloud = tail_union(spec, 1, horizon=16)
-        assert 5 + 0j in cloud.points.tolist()
-        cloud_past = tail_union(spec, 2, horizon=16)
-        assert 5 + 0j not in cloud_past.points.tolist()
+    @pytest.mark.parametrize("start", [0, 1, 2])
+    def test_start_within_prefix_raises(self, start):
+        # a window holds tail blocks only
+        spec = dense_spec(prefix=[mat([[5.0]]), mat([[-2j]])])
+        with pytest.raises(ValidationError):
+            tail_union(spec, start, horizon=16)
+        assert 5 + 0j not in tail_union(spec, 3, horizon=16).points.tolist()
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_circle_hausdorff_against_brute_force(self, seed):
+        # random subsets of dense values about a random centre, one pair of
+        # them within 0.3 rad of the angle +-pi, where the sort wraps
+        rng = np.random.default_rng(seed)
+        vals = BuiltinTail("dense_angle_diagonal").values(0, 3000)
+        centre = complex(*rng.uniform(-2.0, 2.0, 2))
+        near_pi = vals[np.abs(np.angle(vals)) > np.pi - 0.3]
+        pairs = [[rng.choice(vals, int(rng.integers(1, 400)), replace=False) for _ in "ab"],
+                 [rng.choice(near_pi, int(rng.integers(1, near_pi.size)), replace=False)
+                  for _ in "ab"]]
+        for a, b in pairs:
+            pa, pb = a + centre, b + centre
+            pair_d = np.abs(pa[:, None] - pb[None, :])
+            want = max(pair_d.min(axis=1).max(), pair_d.min(axis=0).max())
+            got = _circle_hausdorff(PointCloud(pa), PointCloud(pb), centre)
+            assert got == pytest.approx(want, rel=1e-14, abs=1e-15)
 
     @pytest.mark.parametrize("c", [0.0, 1.0], ids=["periodic", "vanishing"])
     def test_limit_block_tail_rejected(self, c):

@@ -11,6 +11,7 @@ from blockrange import (
     EmptyIntersection,
     NotNested,
     PointCloud,
+    ValidationError,
     extreme_points,
     grid_angles,
     hausdorff,
@@ -688,3 +689,18 @@ class TestPointCloud:
 
     def test_len(self):
         assert len(PointCloud(np.array([0j, 1j]))) == 2
+
+
+@pytest.mark.parametrize(
+    "build",
+    [
+        lambda: ConvexRegion.from_points([np.nan, 1, 1j]),
+        lambda: ConvexRegion.from_points([np.inf, 1, 1j]),
+        lambda: ConvexRegion.from_support(np.full(360, np.nan)),
+        lambda: PointCloud(np.array([0j, complex(0.0, np.nan)])),
+    ],
+    ids=["hull-nan", "hull-inf", "support-nan", "cloud-nan"],
+)
+def test_non_finite_input_raises_validation_error(build):
+    with pytest.raises(ValidationError):
+        build()

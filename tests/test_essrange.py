@@ -4,8 +4,8 @@ The essential range is the hull of the limsup cloud; every test here pins it
 against something computable by hand (cycles, explicit limits, translations)
 or against the second route, whose gap is carried on the result as
 ``crosscheck_gap``: the support function of the limit blocks for limit-block
-tails (periodic or vanishing), the intersection of tail-window hulls for dense
-tails.
+tails (periodic or vanishing), the smallest support of the tail windows at the
+doubling starts for dense tails.
 """
 
 from dataclasses import replace
@@ -26,7 +26,7 @@ from blockrange import (
     numerical_range,
     translate_spec,
 )
-from blockrange import blockop, essrange
+from blockrange import blockop, convex2d, essrange
 from blockrange.essrange import _consistency_gate
 
 from helpers import (
@@ -194,23 +194,29 @@ class TestCrosscheckCatchesFaults:
 
 
 @pytest.mark.parametrize("prefix, eps", [((), 0.05), ((2.0 - 1j,), 0.1), ((0.3j, -1.5, 4.0), 0.08)])
-def test_dense_crosscheck_hulls_each_window_once(monkeypatch, prefix, eps):
-    # one hull per tail window at starts 1, 2, 4, ... below converged_at,
-    # and one for the region, which stands in for the window at
-    # converged_at; the doubling loop compares clouds and hulls none
-    real = ConvexRegion.from_points.__func__
-    calls = []
+def test_dense_essential_range_hulls_once(monkeypatch, prefix, eps):
+    # the region is the one hull: the doubling loop compares clouds on
+    # their circle, and the crosscheck reads the windows' supports from
+    # their points, so nothing is intersected
+    real, real_intersect = ConvexRegion.from_points.__func__, convex2d.intersect_regions
+    calls = {"hull": 0, "intersect": 0}
 
     def counted(cls, *args, **kwargs):
-        calls.append(args)
+        calls["hull"] += 1
         return real(cls, *args, **kwargs)
 
+    def intersect(*args):
+        calls["intersect"] += 1
+        return real_intersect(*args)
+
     monkeypatch.setattr(ConvexRegion, "from_points", classmethod(counted))
+    for module in (convex2d, essrange, blockop):
+        monkeypatch.setattr(module, "intersect_regions", intersect, raising=False)
     spec = dense_spec(prefix=[mat([[v]]) for v in prefix])
     res = essential_numerical_range(spec, eps=eps, k_cap=2**16)
-    starts = [2**i for i in range(res.converged_at.bit_length()) if 2**i < res.converged_at]
-    assert len(calls) == len(starts) + 1
-    assert len(starts) >= 2
+    assert calls == {"hull": 1, "intersect": 0}
+    # the crosscheck compared the windows at k0 and 2 k0 at least
+    assert res.converged_at >= 4 * (spec.prefix_len + 1)
 
 
 @pytest.mark.parametrize(

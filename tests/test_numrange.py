@@ -370,6 +370,12 @@ class TestStackedRanges:
         assert seen == [3 * 180 * 16, 3 * 180 * 16, 180 * 16]
         assert [_hexes(r) for r in stacked] == [_hexes(numerical_range(m, 360)) for m in mats]
 
+    @pytest.mark.parametrize("tol", [np.nan, np.inf, -1.0])
+    def test_bad_tol_rejected(self, tol):
+        # a bad knob is bad input, not an eigensolve that ran out of budget
+        with pytest.raises(ValidationError):
+            numerical_range(NILPOTENT, 360, tol=tol)
+
     def test_bad_input_rejected(self):
         with pytest.raises(ValueError):
             numerical_ranges([NILPOTENT, ComplexMatrix([[1.0]])])
