@@ -45,8 +45,8 @@ from .numrange import numerical_range
 from .oracle import inner_approximate
 from .regroup import (
     choose_translation,
-    group_region,
     identity_decomposition,
+    late_group_regions,
     regroup,
     verify_conv_free,
 )
@@ -313,10 +313,11 @@ def _run_decomposition(spec: BlockOperatorSpec, args):
 def _cmd_decompose(args) -> int:
     spec = _load_spec(args)
     ess, choice, tspec, tess, decomp = _run_decomposition(spec, args)
-    # the late groups are hulled once, for the gap and for the SVG
-    late = range(max(1, decomp.group_count // 2), decomp.group_count + 1)
-    groups = [group_region(tspec, decomp, m, args.angles) for m in late]
-    gap = verify_conv_free(tspec, decomp, tess, late.start, args.angles, groups=groups)
+    # the late groups are hulled once per distinct set of blocks, for the
+    # gap and for the SVG
+    k0 = max(1, decomp.group_count // 2)
+    groups = late_group_regions(tspec, decomp, k0, args.angles)
+    gap = verify_conv_free(tspec, decomp, tess, k0, args.angles, groups=groups)
     print(f"translation z = {choice.z.real:.6g}{choice.z.imag:+.6g}i "
           f"({choice.reason}, angle margin {choice.angular_margin:.3e})")
     print(f"{decomp.group_count} groups, last boundary {decomp.boundaries[-1]}")

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import NonConvergence, NotUnit
+from .errors import NonConvergence, NotUnit, ValidationError
 
 DEFAULT_EIG_TOL = 1e-10
 UNIT_TOL = 1e-10
@@ -25,9 +25,9 @@ UNIT_TOL = 1e-10
 def _as_square_array(entries) -> np.ndarray:
     arr = np.array(entries, dtype=np.complex128)
     if arr.ndim != 2 or arr.shape[0] != arr.shape[1] or arr.shape[0] == 0:
-        raise ValueError(f"expected a non-empty square matrix, got shape {arr.shape}")
+        raise ValidationError(f"expected a non-empty square matrix, got shape {arr.shape}")
     if not np.all(np.isfinite(arr)):
-        raise ValueError("matrix entries must be finite")
+        raise ValidationError("matrix entries must be finite")
     return arr
 
 
@@ -63,7 +63,7 @@ class ComplexMatrix:
         else:
             col_low = float(np.max(np.linalg.norm(arr / s, axis=0))) * s
             if bound < col_low - 1e-12 * col_low:
-                raise ValueError(
+                raise ValidationError(
                     f"norm_bound {bound} is below the column-norm lower bound {col_low}"
                 )
         object.__setattr__(self, "norm_bound", bound)

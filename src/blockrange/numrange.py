@@ -106,7 +106,7 @@ def numerical_ranges(
         return []
     n = mats[0].dim
     if any(m.dim != n for m in mats):
-        raise ValueError("numerical_ranges takes blocks of one dimension")
+        raise ValidationError("numerical_ranges takes blocks of one dimension")
     entries = np.stack([m.entries for m in mats])
     step = max(1, _STACK_ENTRIES // (_solved(grid) * n * n))
     return [

@@ -147,30 +147,37 @@ def identity_decomposition(count: int) -> Decomposition:
     return Decomposition(tuple(range(1, count + 1)))
 
 
-def _bucket_targets(ext: np.ndarray, m: int) -> list[tuple[int, complex]]:
+def _bucket_targets(ext: np.ndarray, m: int) -> np.ndarray:
     """One target per bucket: the max-modulus extreme point whose angle
-    falls in bucket j = floor(angle * m / 2 pi); empty buckets borrow from
-    the cyclically nearest non-empty one (ties to the lower index)."""
+    falls in bucket j = floor(angle * m / 2 pi), the smallest angle (then
+    the first point) among those within 1e-12 relative of the maximum;
+    empty buckets borrow from the cyclically nearest non-empty one (ties
+    to the lower index).  One sort orders each bucket's candidates."""
     ang = np.mod(np.angle(ext), 2.0 * np.pi)
     buckets = np.minimum((ang * m / (2.0 * np.pi)).astype(int), m - 1)
-    reps: dict[int, complex] = {}
-    for j in range(m):
-        members = ext[buckets == j]
-        if members.size == 0:
-            continue
-        mod = np.abs(members)
-        best = mod.max()
-        close = members[mod >= best - 1e-12 * best]
-        reps[j] = complex(close[np.argmin(np.mod(np.angle(close), 2.0 * np.pi))])
-    filled = []
-    occupied = sorted(reps)
-    for j in range(m):
-        if j in reps:
-            filled.append((j, reps[j]))
-            continue
-        src = min(occupied, key=lambda q: (min((j - q) % m, (q - j) % m), q))
-        filled.append((j, reps[src]))
-    return filled
+    mod = np.abs(ext)
+    best = np.zeros(m)
+    np.maximum.at(best, buckets, mod)
+    top = best[buckets]
+    close = mod >= top - 1e-12 * top
+    # per bucket: the close points first, by angle, then by position
+    order = np.lexsort((ang, ~close, buckets))
+    ranked = buckets[order]
+    head = np.empty(ranked.size, dtype=bool)
+    head[0] = True
+    np.not_equal(ranked[1:], ranked[:-1], out=head[1:])
+    src = np.full(m, -1)
+    src[ranked[head]] = order[head]
+    empty = np.flatnonzero(src < 0)
+    if empty.size:
+        # the nearest occupied bucket is the next one either way round
+        occupied = ranked[head]
+        at = np.searchsorted(occupied, empty)
+        after, before = occupied[at % occupied.size], occupied[at - 1]
+        d_after, d_before = (np.minimum((empty - q) % m, (q - empty) % m) for q in (after, before))
+        take_before = (d_before < d_after) | ((d_before == d_after) & (before < after))
+        src[empty] = src[np.where(take_before, before, after)]
+    return ext[src]
 
 
 def _scan_window(spec: BlockOperatorSpec, targets: np.ndarray, j: int,
@@ -191,9 +198,10 @@ def _scan_window(spec: BlockOperatorSpec, targets: np.ndarray, j: int,
     n = start
     budget = cap
     p = spec.prefix_len
+    scalar_tail = spec.tail_is_scalar
     chunk = _FIRST_CHUNK
     while budget > 0:
-        if n > p and spec.tail_is_scalar:
+        if n > p and scalar_tail:
             cnt = min(budget, chunk)
             chunk = min(2 * chunk, _SCAN_CHUNK)
             vals = spec.window_values(n, cnt)
@@ -251,10 +259,9 @@ def regroup(
     for m in range(1, depth + 1):
         threshold = eps / m
         picks: list[GroupSelection] = []
-        buckets = _bucket_targets(ext, m)
-        targets = np.array([target for _, target in buckets])
+        targets = _bucket_targets(ext, m)
         distances: dict[bytes, np.ndarray] = {}
-        for j, target in buckets:
+        for j, target in enumerate(targets.tolist()):
             hit = _scan_window(spec, targets, j, distances, threshold, cursor + 1,
                                scan_cap, grid, tol)
             if hit is None:
@@ -269,6 +276,18 @@ def regroup(
 # -- verification -------------------------------------------------------
 
 
+def _group_parts(spec: BlockOperatorSpec, decomp: Decomposition, m: int):
+    """The blocks of group ``m`` that are taken whole, and on a scalar tail
+    the values of the rest (None when there are none)."""
+    lo, hi = decomp.group_range(m)
+    last = min(hi, spec.prefix_len) if spec.tail_is_scalar else hi
+    blocks = map(spec.cached_block, range(lo, last + 1))
+    if last == hi:
+        return blocks, None
+    start = max(lo, last + 1)
+    return blocks, spec.window_values(start, hi - start + 1)
+
+
 def group_region(
     spec: BlockOperatorSpec,
     decomp: Decomposition,
@@ -279,13 +298,44 @@ def group_region(
     """Numerical range of group ``m`` viewed as one finite block diagonal:
     the hull of its blocks' ranges, each distinct block's inner polygon
     taken once, and a scalar tail's values."""
-    lo, hi = decomp.group_range(m)
-    last = min(hi, spec.prefix_len) if spec.tail_is_scalar else hi
-    pts, _ = _attained_vertices(spec, map(spec.cached_block, range(lo, last + 1)), grid, tol)
-    if last < hi:
-        start = max(lo, last + 1)
-        pts.append(spec.window_values(start, hi - start + 1))
+    blocks, values = _group_parts(spec, decomp, m)
+    pts, _ = _attained_vertices(spec, blocks, grid, tol)
+    if values is not None:
+        pts.append(values)
     return ConvexRegion.from_points(np.concatenate(pts), grid)
+
+
+def _group_points_key(spec: BlockOperatorSpec, decomp: Decomposition, m: int):
+    """What ``group_region`` hulls for group ``m``, up to order and repeats:
+    its distinct blocks and distinct tail values, all by their bytes."""
+    blocks, values = _group_parts(spec, decomp, m)
+    distinct = frozenset(blk.entries.tobytes() for blk in blocks)
+    if values is None:
+        return distinct, b""
+    return distinct, np.unique(values.view(np.dtype((np.void, values.itemsize)))).tobytes()
+
+
+def late_group_regions(
+    spec: BlockOperatorSpec,
+    decomp: Decomposition,
+    from_level: int,
+    grid: int = DEFAULT_GRID,
+    tol: float = DEFAULT_EIG_TOL,
+) -> list[ConvexRegion]:
+    """``group_region`` of groups ``from_level`` to the last, called once per
+    distinct set of points: groups with the same distinct blocks (and tail
+    values) share one region object.  On a periodic tail every late group
+    holds whole cycles, so they all share one.  Sharing is exact because
+    ``ConvexRegion.from_points`` puts its hull in a canonical order, so the
+    same points met in another order give the same region."""
+    regions: dict = {}
+    out = []
+    for m in range(from_level, decomp.group_count + 1):
+        key = _group_points_key(spec, decomp, m)
+        if key not in regions:
+            regions[key] = group_region(spec, decomp, m, grid, tol)
+        out.append(regions[key])
+    return out
 
 
 def verify_conv_free(
@@ -299,10 +349,11 @@ def verify_conv_free(
 ) -> float:
     """Worst Hausdorff distance between late group ranges and the target.
 
-    Both are convex polygons, so ``hausdorff`` gives each distance exactly.
-    ``from_level`` defaults to half the group count.  ``groups`` may pass
-    in the ranges of groups ``from_level`` to the last, as ``group_region``
-    builds them, so that a caller that also draws them hulls each once.
+    Both are convex polygons, so ``hausdorff`` gives each distance exactly,
+    once per distinct region object.  ``from_level`` defaults to half the
+    group count.  ``groups`` may pass in the ranges of groups
+    ``from_level`` to the last, as ``late_group_regions`` builds them, so
+    that a caller that also draws them hulls each once.
     """
     region = we.region if isinstance(we, EssentialRangeResult) else we
     g = decomp.group_count
@@ -310,7 +361,8 @@ def verify_conv_free(
     if not 1 <= k0 <= g:
         raise ValueError(f"from_level {k0} out of range 1..{g}")
     if groups is None:
-        groups = [group_region(spec, decomp, m, grid, tol) for m in range(k0, g + 1)]
+        groups = late_group_regions(spec, decomp, k0, grid, tol)
     elif len(groups) != g - k0 + 1:
         raise ValueError(f"expected {g - k0 + 1} group ranges, got {len(groups)}")
-    return max(hausdorff(region, r) for r in groups)
+    distinct = {id(r): r for r in groups}.values()
+    return max(hausdorff(region, r) for r in distinct)

@@ -20,10 +20,6 @@ _SIZE = 640  # square canvas, in pixels
 _MARGIN = 0.08  # padding, as a fraction of the drawing's span
 
 
-def _fmt(x: float) -> str:
-    return f"{x:.3f}"
-
-
 class Scene:
     """Collects polygons and point clouds, then renders one SVG document."""
 
@@ -57,11 +53,13 @@ class Scene:
         off_x = (_SIZE - scale * span_x) / 2.0
         off_y = (_SIZE - scale * span_y) / 2.0
 
-        def to_px(z: complex) -> tuple[float, float]:
-            return (
-                off_x + (z.real - x0) * scale,
-                _SIZE - off_y - (z.imag - y0) * scale,
-            )
+        def to_px(pts: np.ndarray) -> np.ndarray:
+            """Pixel coordinates, x and y interleaved, by the same float
+            operations in the same order for every point."""
+            xy = np.empty(2 * pts.size)
+            xy[0::2] = off_x + (pts.real - x0) * scale
+            xy[1::2] = (_SIZE - off_y) - (pts.imag - y0) * scale
+            return xy
 
         lines = [
             '<?xml version="1.0" encoding="UTF-8"?>',
@@ -69,34 +67,29 @@ class Scene:
             f'height="{_SIZE}" viewBox="0 0 {_SIZE} {_SIZE}">',
             f'<rect width="{_SIZE}" height="{_SIZE}" fill="#ffffff"/>',
         ]
+        px, py = to_px(np.zeros(1, dtype=np.complex128)).tolist()
         if x0 < 0 < x1:
-            px = to_px(0j)[0]
             lines.append(
-                f'<line x1="{_fmt(px)}" y1="0" x2="{_fmt(px)}" y2="{_SIZE}" '
+                f'<line x1="{px:.3f}" y1="0" x2="{px:.3f}" y2="{_SIZE}" '
                 'stroke="#dddddd" stroke-width="1"/>'
             )
         if y0 < 0 < y1:
-            py = to_px(0j)[1]
             lines.append(
-                f'<line x1="0" y1="{_fmt(py)}" x2="{_SIZE}" y2="{_fmt(py)}" '
+                f'<line x1="0" y1="{py:.3f}" x2="{_SIZE}" y2="{py:.3f}" '
                 'stroke="#dddddd" stroke-width="1"/>'
             )
         for kind, pts, style in self._items:
             stroke, fill = _PALETTE.get(style, _PALETTE["region"])
+            # one %-format over every coordinate of the item
+            xy = tuple(to_px(pts).tolist())
             if kind == "polygon":
-                coords = " ".join(
-                    f"{_fmt(px)},{_fmt(py)}" for px, py in (to_px(z) for z in pts)
-                )
+                coords = " ".join(["%.3f,%.3f"] * pts.size) % xy
                 lines.append(
                     f'<polygon points="{coords}" stroke="{stroke}" fill="{fill}" '
                     'stroke-width="1.5"/>'
                 )
             else:
-                for z in pts:
-                    px, py = to_px(z)
-                    lines.append(
-                        f'<circle cx="{_fmt(px)}" cy="{_fmt(py)}" r="2" '
-                        f'fill="{fill}" stroke="none"/>'
-                    )
+                circle = f'<circle cx="%.3f" cy="%.3f" r="2" fill="{fill}" stroke="none"/>'
+                lines.append("\n".join([circle] * pts.size) % xy)
         lines.append("</svg>")
         return "\n".join(lines) + "\n"

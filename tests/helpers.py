@@ -393,3 +393,86 @@ def spec_to_dict(spec: BlockOperatorSpec) -> dict:
     if spec.shift != 0:
         doc["shift"] = [spec.shift.real, spec.shift.imag]
     return doc
+
+
+# -- reference loops of vectorised passes -----------------------------------
+
+
+def bucket_targets_by_loop(ext, m: int) -> list[complex]:
+    """The regroup targets by one mask per bucket and a search over the
+    occupied buckets for each empty one: per bucket the max-modulus point,
+    the smallest angle among those within 1e-12 relative of the maximum;
+    an empty bucket borrows from the cyclically nearest occupied one,
+    ties to the lower index."""
+    ext = np.asarray(ext, dtype=np.complex128)
+    ang = np.mod(np.angle(ext), 2.0 * np.pi)
+    buckets = np.minimum((ang * m / (2.0 * np.pi)).astype(int), m - 1)
+    reps: dict[int, complex] = {}
+    for j in range(m):
+        members = ext[buckets == j]
+        if members.size == 0:
+            continue
+        mod = np.abs(members)
+        best = mod.max()
+        close = members[mod >= best - 1e-12 * best]
+        reps[j] = complex(close[np.argmin(np.mod(np.angle(close), 2.0 * np.pi))])
+    occupied = sorted(reps)
+    out = []
+    for j in range(m):
+        src = j if j in reps else min(
+            occupied, key=lambda q: (min((j - q) % m, (q - j) % m), q))
+        out.append(reps[src])
+    return out
+
+
+def render_by_vertex(items) -> str:
+    """The SVG document of ``Scene.render`` for ``items``, a list of
+    ("polygon" | "points", complex array, style), with each vertex mapped
+    and formatted on its own."""
+    from blockrange.svgplot import _MARGIN, _PALETTE, _SIZE
+
+    def fmt(x: float) -> str:
+        return f"{x:.3f}"
+
+    allpts = np.concatenate([p for _, p, _ in items])
+    x0, x1 = float(allpts.real.min()), float(allpts.real.max())
+    y0, y1 = float(allpts.imag.min()), float(allpts.imag.max())
+    span = max(x1 - x0, y1 - y0, 1e-9)
+    pad = _MARGIN * span
+    x0, x1 = x0 - pad, x1 + pad
+    y0, y1 = y0 - pad, y1 + pad
+    span_x, span_y = x1 - x0, y1 - y0
+    scale = _SIZE / max(span_x, span_y)
+    off_x = (_SIZE - scale * span_x) / 2.0
+    off_y = (_SIZE - scale * span_y) / 2.0
+
+    def to_px(z: complex) -> tuple[float, float]:
+        return (off_x + (z.real - x0) * scale, _SIZE - off_y - (z.imag - y0) * scale)
+
+    lines = [
+        '<?xml version="1.0" encoding="UTF-8"?>',
+        f'<svg xmlns="http://www.w3.org/2000/svg" width="{_SIZE}" '
+        f'height="{_SIZE}" viewBox="0 0 {_SIZE} {_SIZE}">',
+        f'<rect width="{_SIZE}" height="{_SIZE}" fill="#ffffff"/>',
+    ]
+    if x0 < 0 < x1:
+        px = to_px(0j)[0]
+        lines.append(f'<line x1="{fmt(px)}" y1="0" x2="{fmt(px)}" y2="{_SIZE}" '
+                     'stroke="#dddddd" stroke-width="1"/>')
+    if y0 < 0 < y1:
+        py = to_px(0j)[1]
+        lines.append(f'<line x1="0" y1="{fmt(py)}" x2="{_SIZE}" y2="{fmt(py)}" '
+                     'stroke="#dddddd" stroke-width="1"/>')
+    for kind, pts, style in items:
+        stroke, fill = _PALETTE.get(style, _PALETTE["region"])
+        if kind == "polygon":
+            coords = " ".join(f"{fmt(px)},{fmt(py)}" for px, py in (to_px(z) for z in pts))
+            lines.append(f'<polygon points="{coords}" stroke="{stroke}" fill="{fill}" '
+                         'stroke-width="1.5"/>')
+        else:
+            for z in pts:
+                px, py = to_px(z)
+                lines.append(f'<circle cx="{fmt(px)}" cy="{fmt(py)}" r="2" '
+                             f'fill="{fill}" stroke="none"/>')
+    lines.append("</svg>")
+    return "\n".join(lines) + "\n"

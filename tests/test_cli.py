@@ -2,6 +2,7 @@
 
 import contextlib
 import csv
+import importlib
 import io
 import json
 import os
@@ -252,6 +253,43 @@ class TestDecomposeVerify:
         per_spec = Counter(owner for owner, _ in built)
         assert len(per_spec) == 2 and max(per_spec.values()) <= 1 + 3
         assert len(set(built)) == len(built)
+
+    @pytest.mark.parametrize("kind", ["periodic", "scalar", "decaying"])
+    def test_decompose_hulls_each_distinct_late_group_once(self, tmp_path, monkeypatch, kind):
+        # a periodic tail's late groups hold the same blocks, so one hull
+        # serves them all; a decaying tail's blocks all differ, so each
+        # late level is hulled; every region drawn and measured is bit for
+        # bit the one group_region builds for its level
+        regroup_module = importlib.import_module("blockrange.regroup")
+        original = regroup_module.group_region
+        calls, seen = [], []
+
+        def counting(spec, decomp, m, *args):
+            calls.append((spec, decomp, m, args))
+            return original(spec, decomp, m, *args)
+
+        def measured(spec, decomp, we, from_level, grid, groups):
+            seen.append((from_level, grid, groups))
+            return verify(spec, decomp, we, from_level, grid, groups=groups)
+
+        verify = blockrange.cli.verify_conv_free
+        monkeypatch.setattr(regroup_module, "group_region", counting)
+        monkeypatch.setattr(blockrange.cli, "verify_conv_free", measured)
+        spec = {
+            "periodic": BlockOperatorSpec((DIAG23,), VanishingTail((NILPOTENT, DIAG23, mat([[1j]])))),
+            "scalar": scalar_periodic_spec([1.0, 1j, -1.0, -1j, 0.5 + 0.5j], prefix=[2.0]),
+            "decaying": vanishing_spec([[[0, 1], [0, 0]], [[1.5]]], c=0.5, p=2.0, seed=11),
+        }[kind]
+        path = write_spec(tmp_path, spec)
+        assert main(["decompose", path, "--groups", "10", "--eps", "0.5", "--angles", "90"]) == 0
+        (k0, grid, groups), = seen
+        assert (k0, grid, len(groups)) == (5, 90, 6)
+        tspec, decomp = calls[0][0], calls[0][1]
+        assert [m for _, _, m, _ in calls] == ([5, 6, 7, 8, 9, 10] if kind == "decaying" else [5])
+        for m, region in enumerate(groups, start=k0):
+            fresh = original(tspec, decomp, m, grid)
+            assert region.vertices.tobytes() == fresh.vertices.tobytes()
+            assert region.support.tobytes() == fresh.support.tobytes()
 
     def test_verify_regrouped_beats_identity(self, tmp_path, capsys):
         path = write_spec(tmp_path, TWO_MATRIX)

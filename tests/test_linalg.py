@@ -1,7 +1,14 @@
 import numpy as np
 import pytest
 
-from blockrange import ComplexMatrix, NonConvergence, NotUnit, numerical_range, rayleigh
+from blockrange import (
+    ComplexMatrix,
+    NonConvergence,
+    NotUnit,
+    ValidationError,
+    numerical_range,
+    rayleigh,
+)
 from blockrange.linalg import max_eigenpairs_batch
 
 from helpers import NILPOTENT, charpoly_lambda_max, random_hermitian, random_matrix, random_unit_vector
@@ -21,6 +28,14 @@ class TestComplexMatrix:
     def test_rejects_non_finite(self):
         with pytest.raises(ValueError):
             ComplexMatrix([[np.nan, 0], [0, 0]])
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, complex(0, -np.inf)])
+    def test_non_finite_is_a_validation_error(self, bad):
+        # bad input raises the package's error, which callers catching
+        # ValueError still catch
+        with pytest.raises(ValidationError, match="finite"):
+            ComplexMatrix([[1, 0], [bad, 1]])
+        assert issubclass(ValidationError, ValueError)
 
     def test_entries_read_only(self):
         m = ComplexMatrix([[1, 0], [0, 1]])

@@ -384,6 +384,10 @@ class TestStackedRanges:
                 numerical_ranges([NILPOTENT], grid)
         assert numerical_ranges([]) == []
 
+    def test_mixed_dimensions_are_a_validation_error(self):
+        with pytest.raises(ValidationError, match="one dimension"):
+            numerical_ranges([ComplexMatrix([[1.0]]), NILPOTENT])
+
 
 class TestBlockNumericalRange:
     """The finite law W(A + B) = conv(W(A) u W(B)) for a direct sum, checked

@@ -6,8 +6,12 @@ every representative has been approached within eps/m.  The group ranges
 are then convex sets converging to the essential range on their own.
 """
 
+import importlib
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from blockrange import (
     BlockOperatorSpec,
@@ -27,10 +31,12 @@ from blockrange import (
     translate_spec,
     verify_conv_free,
 )
+from blockrange.regroup import _bucket_targets, late_group_regions
 
 from helpers import (
     DIAG23,
     NILPOTENT,
+    bucket_targets_by_loop,
     constant_spec,
     dense_spec,
     mat,
@@ -39,6 +45,10 @@ from helpers import (
     support_excess,
     two_matrix_spec,
 )
+
+# the package re-exports a function named ``regroup``, which shadows the
+# submodule as a package attribute
+regroup_module = importlib.import_module("blockrange.regroup")
 
 
 def segment(a, b):
@@ -227,6 +237,100 @@ class TestRegroup:
             regroup(spec, we, eps=0.0)
         with pytest.raises(ValueError):
             regroup(spec, we, depth=0)
+
+
+def _hexes(values) -> list[str]:
+    return [x.hex() for z in np.asarray(values).tolist() for x in (z.real, z.imag)]
+
+
+@st.composite
+def _extreme_sets(draw):
+    """Points on a few rays, so that buckets stay empty, angles repeat
+    exactly (copies) or nearly (one ray, other moduli), and moduli tie
+    within 1e-12 relative or just outside it."""
+    slots = draw(st.integers(1, 96))
+    base = draw(st.floats(1e-3, 1e3))
+    rays = st.tuples(
+        st.integers(0, slots - 1),
+        st.sampled_from([0.0, 1e-15, 0.5]) | st.floats(0.0, 1.0),
+        st.integers(-8, 8) | st.floats(0.5, 2.0),
+    )
+    pts = [
+        base * (1.0 + tie * 2e-13 if isinstance(tie, int) else tie)
+        * np.exp(2j * np.pi * (slot + frac) / slots)
+        for slot, frac, tie in draw(st.lists(rays, min_size=1, max_size=40))
+    ]
+    copies = draw(st.lists(st.integers(0, len(pts) - 1), max_size=6))
+    return np.array(pts + [pts[i] for i in copies])
+
+
+class TestBucketTargets:
+    @settings(max_examples=300, deadline=None)
+    @given(ext=_extreme_sets(), m=st.integers(1, 64))
+    def test_one_sort_matches_the_bucket_loop(self, ext, m):
+        assert _hexes(_bucket_targets(ext, m)) == _hexes(bucket_targets_by_loop(ext, m))
+
+    def test_empty_buckets_borrow_from_the_nearest(self):
+        # points in buckets 1 and 5 of 8: buckets 3 and 7 lie two steps
+        # from both, cyclically, and borrow from the lower one, 1
+        ext = np.exp(2j * np.pi * np.array([1.5, 5.5]) / 8)
+        got = _bucket_targets(ext, 8).tolist()
+        assert got == [ext[0], ext[0], ext[0], ext[0], ext[1], ext[1], ext[1], ext[0]]
+
+
+class TestLateGroups:
+    """``late_group_regions`` hulls each distinct set of late-group points
+    once, and every region it hands out is bit for bit the one
+    ``group_region`` builds for that group (``decompose``'s call counts
+    are pinned in test_cli)."""
+
+    @staticmethod
+    def _blocks_of(spec, decomp, m) -> frozenset:
+        lo, hi = decomp.group_range(m)
+        return frozenset(spec.block(n).entries.tobytes() for n in range(lo, hi + 1))
+
+    @staticmethod
+    def _specs():
+        rng = np.random.default_rng(17)
+        cycle = tuple(random_matrix(rng, n) for n in (2, 3, 1))
+        return {
+            "periodic": BlockOperatorSpec((random_matrix(rng, 2),), VanishingTail(cycle)),
+            "scalar": scalar_periodic_spec([1.0, 1j, -1.0, -1j, 0.5 + 0.5j], prefix=[2.0]),
+        }
+
+    @pytest.mark.parametrize("kind", ["periodic", "scalar"])
+    def test_rotated_cycles_share_a_bit_identical_hull(self, kind):
+        # groups of whole cycles that start at every cycle position, and
+        # groups of partial cycles: equal block sets give equal regions,
+        # whatever order the blocks come in
+        spec = self._specs()[kind]
+        decomp = Decomposition((1, 2, 7, 13, 14, 22, 27, 39, 44, 45, 58, 61, 62, 80))
+        regions = late_group_regions(spec, decomp, 1, 90)
+        by_key = {}
+        for m, region in enumerate(regions, start=1):
+            fresh = group_region(spec, decomp, m, 90)
+            assert region.vertices.tobytes() == fresh.vertices.tobytes()
+            by_key.setdefault(self._blocks_of(spec, decomp, m), set()).add(id(region))
+        assert all(len(ids) == 1 for ids in by_key.values())
+        assert len(by_key) < len(regions)
+
+    def test_verify_measures_each_distinct_region_once(self, monkeypatch):
+        spec = self._specs()["periodic"]
+        we = essential_numerical_range(spec)
+        decomp = Decomposition((1, 2, 7, 13, 14, 22, 27, 39))
+        groups = late_group_regions(spec, decomp, 3)
+        seen = []
+        original = regroup_module.hausdorff
+
+        def counting(a, b):
+            seen.append(id(b))
+            return original(a, b)
+
+        monkeypatch.setattr(regroup_module, "hausdorff", counting)
+        gap = verify_conv_free(spec, decomp, we, 3, groups=groups)
+        assert sorted(seen) == sorted({id(r) for r in groups})
+        assert gap == max(original(we.region, group_region(spec, decomp, m))
+                          for m in range(3, 9))
 
 
 class TestDenseFamily:
