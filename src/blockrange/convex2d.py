@@ -15,10 +15,9 @@ only the grid) are built on that lookup.  Polygons that arrive already in
 counterclockwise angular order (attained points, consecutive support
 lines) are certified as their own hull in one vectorised pass.
 
-The intersection of two polygons is a linear clip: seen from the vertex
-centroid of the other polygon, each edge sweeps a run of its wedges and is
-clipped only against their edges, about |P| + |Q| pairs in one pass; the
-pieces, in normal-angle order, form a ring that certifies itself too.
+The intersection of two polygons, which only the exchange law of
+``nested_conv_exchange`` takes, is the hull of its candidate corners: the
+vertices of each polygon in the other and the crossings of their edges.
 
 The certificate, the fans, the support lookups and the region-region
 Hausdorff distance also run on stacks of polygons with one polygon per
@@ -522,7 +521,7 @@ def hausdorff(a, b) -> float:
     return float(max(_nearest(pb, pa).max(), _nearest(pa, pb).max()))
 
 
-# -- intersection on the normal fans ------------------------------------
+# -- intersection --------------------------------------------------------
 
 
 def _depth(x, s0, s1):
@@ -531,152 +530,60 @@ def _depth(x, s0, s1):
     return (d.real * w.imag - d.imag * w.real) / np.abs(d)
 
 
-def _crossing(p0, p1, q0, q1):
-    """Crossing point of the lines p0p1 and q0q1.  The two one-sided
-    formulas are averaged, so the result is the same to the last bit when
-    the segments are swapped, and both polygons emit the same point."""
-
-    def along(x0, x1, y0, y1):
-        dx, dy, w = x1 - x0, y1 - y0, y0 - x0
-        t = (w.real * dy.imag - w.imag * dy.real) / (dx.real * dy.imag - dx.imag * dy.real)
-        return x0 + t * dx
-
-    return 0.5 * (along(p0, p1, q0, q1) + along(q0, q1, p0, p1))
-
-
-def _clip_segment(s0: complex, s1: complex, w: np.ndarray, tol: float) -> np.ndarray:
-    """Cyrus-Beck clip of the segment s0 -> s1 (a membership test when
-    s0 == s1) to the region with vertices ``w``.  It is empty only when
-    empty with every boundary line moved outward by ``tol``; its ends are
-    on the lines themselves unless those ends cross over, as where the
-    segment only touches the region.  A segment or point ``w`` is bounded
-    by its line taken both ways and two end caps."""
-    if w.size >= 3:
-        l0, l1 = w, np.roll(w, -1)
-    else:
-        axis = w[-1] - w[0]
-        axis = axis / abs(axis) if axis else 1.0
-        l0 = np.array([w[0], w[-1], w[-1], w[0]])
-        l1 = l0 + axis * np.array([1, -1, 1j, -1j])
-    f0, f1 = _depth(s0, l0, l1), _depth(s1, l0, l1)
-
-    def window(pad):
-        g0, g1 = f0 + pad, f1 + pad
-        t = g0 / np.where(g0 == g1, 1.0, g0 - g1)
-        return max(0.0, t[g0 < 0].max(initial=0.0)), min(1.0, t[g1 < 0].min(initial=1.0))
-
-    lo, hi = window(tol)
-    if lo > hi or np.any((f0 < -tol) & (f1 < -tol)):
-        raise EmptyIntersection("regions do not meet")
-    exact = window(0.0)
-    if exact[0] <= exact[1]:
-        lo, hi = exact
-    return np.array([s0 if lo == 0.0 else s0 + lo * (s1 - s0),
-                     s1 if hi == 1.0 else s0 + hi * (s1 - s0)])
-
-
-def _clip_edges(p, fan_p, q, fan_q, tol):
-    """Normal angles, starts and ends of the pieces of P's edges in Q.
-
-    Seen from Q's vertex centroid c, an edge of P sweeps Q's wedges (between
-    the rays to consecutive vertices) from that of its start to that of its
-    end, and in each wedge Q is cut by one edge line.  So the edge is
-    clipped (Cyrus and Beck) only against those lines and the lines of the
-    wedge either side (near a vertex the next line, moved, may cut deeper),
-    or against all where its line passes within ``tol`` of c.  Q's lines
-    are moved outward by ``tol``, so an edge Q shares with P bounds nothing.
-    A piece ends exactly at a vertex within ``tol`` of the other polygon's
-    line, and at ``_crossing`` otherwise.  Raises EmptyIntersection when Q
-    lies beyond an edge line by more than ``tol``; when Q only touches one,
-    the one piece is that edge clipped by ``_clip_segment``.
-    """
-    m = q.size
-    edges, normals = fan_p
-    succ = (edges + 1) % p.size
-    a0, a1 = p[edges], p[succ]
-    # the least and greatest depth of Q inside each edge line
-    low, top = _depth(q[_supporting(fan_q, np.stack((normals, normals + np.pi)))], a0, a1)
-    k = int(np.argmin(top))
-    if top[k] < -tol:
-        raise EmptyIntersection("regions do not meet")
-    if top[k] <= tol:
-        return (normals[k : k + 1], *np.split(_clip_segment(a0[k], a1[k], q, tol), 2))
-    # the wedge of each vertex of P (the rays in angular order start at r);
-    # an edge of Q is its own piece, and an edge line Q lies inside gives none
-    c = q.mean()
-    rays = np.angle(q - c)
-    r = int(np.argmin(rays))
-    wedge = (np.searchsorted(np.roll(rays, -r), np.angle(p - c), side="right") - 1 + r) % m
-    q1 = _neighbours(q)[1]
-    w0 = wedge[edges]
-    own = (q[w0] == a0) & (q1[w0] == a1)
-    clip = (low < tol) & ~own
-    own = normals[own], a0[own], a1[own]
-    normals, a0, a1, w0, w1 = normals[clip], a0[clip], a1[clip], w0[clip], wedge[succ[clip]]
-    # one pair per wedge each edge sweeps counterclockwise from ``first``,
-    # and per wedge either side, with the depths of its ends inside that
-    # wedge's line moved out
-    side = _depth(c, a0, a1)
-    first = np.where(side > 0.0, w0, w1)
-    span = np.where(np.abs(side) <= tol, m, np.minimum(np.mod(w0 + w1 - 2 * first, m) + 3, m))
-    at = np.cumsum(span) - span
-    edge = np.repeat(np.arange(span.size), span)
-    j = (np.arange(edge.size) - np.repeat(at - first + 1, span)) % m
-    g0, g1 = _depth(a0[edge], q[j], q1[j]) + tol, _depth(a1[edge], q[j], q1[j]) + tol
-    # where the edge enters and leaves each moved line; a pair with both
-    # ends outside enters at +inf and leaves at -inf
-    t, pair = g0 / (g0 - g1), np.arange(edge.size)
-    t_enter = np.where(g0 < 0.0, np.where(g1 < 0.0, np.inf, t), -np.inf)
-    t_leave = np.where(g1 < 0.0, np.where(g0 < 0.0, -np.inf, t), np.inf)
-    t_in, t_out = np.maximum.reduceat(t_enter, at), np.minimum.reduceat(t_leave, at)
-    keep = t_in <= t_out
-    start, end = np.where(t_in == -np.inf, a0, a1), np.where(t_out == np.inf, a1, a0)
-    # an end more than tol inside the line of its first binding pair moves
-    # to that edge of Q: to its vertex within tol of the edge line (its start
-    # for a start, its end for an end, if both are), or else the crossing
-    for ends, t_pair, t_edge, inside, late in ((start, t_enter, t_in, g1, 0),
-                                               (end, t_leave, t_out, g0, 1)):
-        binding = np.minimum.reduceat(np.where(t_pair == t_edge[edge], pair, pair[-1:]), at)
-        i = np.flatnonzero(keep & (np.abs(t_edge) < np.inf) & (inside[binding] > 2.0 * tol))
-        u = q[j[binding[i]]], q1[j[binding[i]]]
-        near = [np.abs(_depth(x, a0[i], a1[i])) <= tol for x in u]
-        ends[i] = np.where(near[late], u[late],
-                           np.where(near[1 - late], u[1 - late], _crossing(a0[i], a1[i], *u)))
-    return tuple(np.concatenate(x) for x in zip(own, (normals[keep], start[keep], end[keep])))
+def _excess(region: ConvexRegion, x0: np.ndarray, x1: np.ndarray) -> np.ndarray:
+    """How far each segment x0 -> x1 (a point where x0 == x1) lies wholly
+    beyond a grid support line of ``region``, at most; 2^20 at a time."""
+    th = grid_angles(region.grid_size)
+    u = np.stack((np.cos(th), np.sin(th)))
+    out = np.empty(x0.size)
+    step = max(1, 2**20 // th.size)
+    for lo in range(0, x0.size, step):
+        e0, e1 = (np.stack((x.real, x.imag), axis=1) @ u
+                  for x in (x0[lo : lo + step], x1[lo : lo + step]))
+        out[lo : lo + step] = (np.minimum(e0, e1) - region.support).max(axis=1)
+    return out
 
 
 def intersect_regions(a: ConvexRegion, b: ConvexRegion) -> ConvexRegion:
     """Intersection of two regions sharing the same angle grid.
 
     The pointwise minimum of the two support vectors is generally *not* the
-    support function of the intersection, so the polygons themselves are
-    intersected, in time linear in their sizes up to a logarithm: each edge
-    of either is clipped to the other by ``_clip_edges``, and the pieces
-    ordered by normal angle walk the boundary counterclockwise.  Their ends
-    are exact vertices or symmetric crossings, so of two equal pieces from
-    a shared edge one is kept and the ring certifies itself.  A point or
-    segment region is one ``_clip_segment`` call.  Boundary lines are moved
-    by 1e-12 times the largest vertex modulus, so the result scales.
+    support function of the intersection, so this is the hull of its
+    corners: the vertices of each polygon within ``tol`` of the other, and
+    the crossings of edges whose ends all lie more than ``tol`` either side
+    of the other edge's line, so no corner is doubled by a crossing one ulp
+    off it.  What lies wholly beyond a grid support line of the other
+    region cannot meet it and goes first; the edge pairs left are tried
+    2^20 at a time.  ``tol`` is 1e-12 times the largest vertex modulus.
     """
     k = a.grid_size
     if b.grid_size != k:
-        raise ValueError(f"grid mismatch: {k} vs {b.grid_size}")
+        raise ValidationError(f"grid mismatch: {k} vs {b.grid_size}")
     va, vb = a.vertices, b.vertices
     tol = 1e-12 * max(np.abs(va).max(), np.abs(vb).max())
-    with np.errstate(divide="ignore", invalid="ignore"):
-        if min(va.size, vb.size) < 3:
-            s, w = (va, vb) if va.size <= vb.size else (vb, va)
-            ring = _clip_segment(s[0], s[-1], w, tol)
-        else:
-            fa, fb = _fan(va), _fan(vb)
-            pieces = [_clip_edges(va, fa, vb, fb, tol), _clip_edges(vb, fb, va, fa, tol)]
-            normals, start, end = (np.concatenate(x) for x in zip(*pieces))
-            order = np.argsort(np.mod(normals, 2.0 * np.pi), kind="stable")
-            start, end = start[order], end[order]
-            twin = (start == np.roll(start, 1)) & (end == np.roll(end, 1))
-            twin[0] &= not twin[1:].all()  # a lone piece is its own twin
-            ring = np.column_stack((start[~twin], end[~twin])).ravel()
-    return ConvexRegion._build(_hull_vertices(ring), k)
+    corners, edges = [], []
+    for v, other in ((va, b), (vb, a)):
+        near = v[_excess(other, v, v) <= tol]
+        corners.append(near[other.distance(near) <= tol])
+        # a segment has one edge and a point none
+        s0, s1 = (v, np.roll(v, -1)) if v.size >= 3 else (v[:-1], v[1:])
+        live = _excess(other, s0, s1) <= tol
+        edges.append((s0[live], s1[live]))
+    (p0, p1), (q0, q1) = edges
+    step = max(1, 2**20 // max(q0.size, 1))
+    for lo in range(0, p0.size, step):
+        a0, a1 = p0[lo : lo + step, None], p1[lo : lo + step, None]
+        f0, f1 = _depth(a0, q0, q1), _depth(a1, q0, q1)
+        g0, g1 = _depth(q0, a0, a1), _depth(q1, a0, a1)
+        cross = ((np.minimum(f0, f1) < -tol) & (np.maximum(f0, f1) > tol)
+                 & (np.minimum(g0, g1) < -tol) & (np.maximum(g0, g1) > tol))
+        i, j = np.nonzero(cross)
+        a0, a1, f0 = a0[i, 0], a1[i, 0], f0[i, j]
+        corners.append(a0 + f0 / (f0 - f1[i, j]) * (a1 - a0))
+    corners = np.concatenate(corners)
+    if corners.size == 0:
+        raise EmptyIntersection("regions do not meet")
+    return ConvexRegion._build(_hull_vertices(corners), k)
 
 
 # -- extreme points and nesting ----------------------------------------
@@ -700,6 +607,8 @@ def nested_conv_exchange(clouds, tol: float, grid: int = DEFAULT_GRID):
     intersection of the hulls, rhs the hull of the (approximate) pointwise
     intersection, and gap their Hausdorff distance.
     """
+    if not (np.isfinite(tol) and tol >= 0.0):
+        raise ValidationError(f"tol must be a finite non-negative float, got {tol}")
     seq = [c if isinstance(c, PointCloud) else PointCloud(np.asarray(c, complex)) for c in clouds]
     if not seq:
         raise EmptyInput("need at least one cloud")

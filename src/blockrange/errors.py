@@ -22,7 +22,7 @@ class NotNested(BlockRangeError):
 
 
 class EmptyIntersection(BlockRangeError):
-    """A halfplane intersection turned out to be empty."""
+    """Two regions, or a nested family of clouds, have no common point."""
 
 
 class HorizonTooSmall(BlockRangeError):

@@ -44,7 +44,8 @@ class Scene:
         allpts = np.concatenate([p for _, p, _ in self._items])
         x0, x1 = float(allpts.real.min()), float(allpts.real.max())
         y0, y1 = float(allpts.imag.min()), float(allpts.imag.max())
-        span = max(x1 - x0, y1 - y0, 1e-9)
+        # the floor grows with the coordinates, so padding never vanishes in them
+        span = max(x1 - x0, y1 - y0, 1e-9, 1e-12 * max(map(abs, (x0, x1, y0, y1))))
         pad = _MARGIN * span
         x0, x1 = x0 - pad, x1 + pad
         y0, y1 = y0 - pad, y1 + pad

@@ -4,14 +4,14 @@ The oracles deliberately avoid the library's own algorithms: the hull
 oracle is gift wrapping (the library deletes reflex vertices of an ordered
 ring in vectorised passes), the support, diameter and Hausdorff oracles
 scan every vertex, vertex pair and vertex-edge pair (the library walks
-normal fans), the intersection oracle tries every vertex against every
-edge and every pair of edges, deciding close calls in rational arithmetic
-(the library clips each edge only against the edges of the other polygon
-in the wedges it sweeps), the eigenvalue oracle bisects the sign of
-the characteristic determinant (the library calls LAPACK through
-``numpy.linalg.eigh``), and range membership is checked by
-direct Monte-Carlo Rayleigh sampling, against each supporting halfplane
-of the region in turn.
+normal fans), the eigenvalue oracle bisects the sign of the characteristic
+determinant (the library calls LAPACK through ``numpy.linalg.eigh``), and
+range membership is checked by direct Monte-Carlo Rayleigh sampling,
+against each supporting halfplane of the region in turn.  The
+intersection oracle tries every vertex against every edge and every pair
+of edges, as the library does in floats up to a tolerance; it stays
+independent by deciding close calls and crossings in rational arithmetic
+and by gift wrapping the candidates.
 """
 
 from __future__ import annotations
@@ -437,7 +437,8 @@ def render_by_vertex(items) -> str:
     allpts = np.concatenate([p for _, p, _ in items])
     x0, x1 = float(allpts.real.min()), float(allpts.real.max())
     y0, y1 = float(allpts.imag.min()), float(allpts.imag.max())
-    span = max(x1 - x0, y1 - y0, 1e-9)
+    # the floor grows with the coordinates, so padding never vanishes in them
+    span = max(x1 - x0, y1 - y0, 1e-9, 1e-12 * max(map(abs, (x0, x1, y0, y1))))
     pad = _MARGIN * span
     x0, x1 = x0 - pad, x1 + pad
     y0, y1 = y0 - pad, y1 + pad

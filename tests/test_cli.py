@@ -144,6 +144,13 @@ class TestRangeCommand:
 
 
 class TestEssentialCommand:
+    def test_svg_of_one_point_at_large_coordinates(self, tmp_path, capsys):
+        path = write_spec(tmp_path, {"tail": {"kind": "periodic", "cycle": [[[[1e9, 1e9]]]]}})
+        svg_path = tmp_path / "out.svg"
+        assert main(["essential", path, "--svg", str(svg_path)]) == 0
+        svg = ET.parse(svg_path).getroot()
+        assert sum(el.tag.endswith("polygon") for el in svg.iter()) == 1
+
     def test_artifacts(self, tmp_path, capsys):
         path = write_spec(tmp_path, TWO_MATRIX)
         cert_path = tmp_path / "cert.json"

@@ -19,7 +19,7 @@ from blockrange import (
     nested_conv_exchange,
     numerical_range,
 )
-from blockrange.convex2d import _clip_edges, _fan, _hull_vertices, _ordered_hull
+from blockrange.convex2d import _hull_vertices, _ordered_hull
 
 from helpers import (
     brute_diameter,
@@ -590,18 +590,12 @@ class TestIntersect:
 
     def test_an_edge_through_a_corner_ends_there(self):
         # a corner of the triangle lies on the square's bottom edge, to
-        # rounding, and the edge enters the triangle there: the piece of
-        # that edge starts exactly at the corner, not at a crossing near it,
-        # where the triangle's piece that ends there meets it bit for bit
+        # rounding, and the edge enters the triangle there: the
+        # intersection has that corner itself, not a crossing near it
         turn = np.exp(0.3j)
         square = turn * np.array([0, 1, 1 + 1j, 1j])
         corner = square[0] + 0.3 * (square[1] - square[0])
         triangle = corner + turn * np.array([0, 0.4 - 0.5j, -0.2 + 0.5j])
-        p, q = _hull_vertices(square), _hull_vertices(triangle)
-        tol = 1e-12 * np.abs(square).max()
-        with np.errstate(divide="ignore", invalid="ignore"):
-            _, start, end = _clip_edges(p, _fan(p), q, _fan(q), tol)
-        assert corner in start
         assert corner in intersect_regions(ConvexRegion.from_points(square),
                                            ConvexRegion.from_points(triangle)).vertices
 
@@ -676,6 +670,39 @@ class TestNestedConvExchange:
         b = PointCloud(np.array([5 + 5j]))
         with pytest.raises(NotNested):
             nested_conv_exchange([a, b], tol=1e-6)
+
+    @pytest.mark.parametrize("call", [
+        lambda: nested_conv_exchange([[0, 1, 1j], [0.25 + 0.25j]], tol=float("nan")),
+        lambda: nested_conv_exchange([[0, 1, 1j], [0.25 + 0.25j]], tol=-1.0),
+        lambda: nested_conv_exchange([[0, 1, 1j], [0.25 + 0.25j]], tol=float("inf")),
+        lambda: intersect_regions(square(grid=360), square(grid=180)),
+    ], ids=["tol_nan", "tol_negative", "tol_inf", "grid_mismatch"])
+    def test_bad_knobs_raise_validation_error(self, call):
+        with pytest.raises(ValidationError):
+            call()
+
+    @given(st.integers(0, 2**32 - 1), st.floats(-12.0, 12.0))
+    @settings(max_examples=40, deadline=None)
+    def test_gap_scales_with_the_family(self, seed, e):
+        # the acceptance gate's families: each level keeps the points
+        # nearest a centre, and most are then moved by 0.4 tol
+        rng = np.random.default_rng(seed)
+        tol = float(10 ** rng.uniform(-5.0, -2.5))
+        m = int(rng.integers(40, 120))
+        pts = (rng.normal(size=m) + 1j * rng.normal(size=m)) * rng.uniform(0.5, 3.0)
+        pts = pts[np.argsort(np.abs(pts - complex(*rng.normal(size=2))))]
+        jitter = 0.0 if rng.random() < 0.3 else 0.4 * tol
+        clouds = []
+        for _ in range(int(rng.integers(2, 4))):
+            clouds.append(pts)
+            pts = pts[: max(4, int(pts.size * rng.uniform(0.5, 0.9)))]
+            bump = rng.normal(size=pts.size) + 1j * rng.normal(size=pts.size)
+            pts = pts + jitter * bump / np.abs(bump)
+        c = 10.0**e
+        _, _, unit = nested_conv_exchange(clouds, tol)
+        _, _, gap = nested_conv_exchange([c * x for x in clouds], c * tol)
+        size = max(np.abs(x).max() for x in clouds)
+        assert abs(gap - c * unit) <= 1e-12 * c * size
 
 
 class TestPointCloud:
