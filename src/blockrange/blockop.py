@@ -192,6 +192,16 @@ class BuiltinTail:
         minus ``shift`` times the identity."""
         return _shifted(ComplexMatrix(self.values(pos, 1).reshape(1, 1)), shift)
 
+    def essential_support(self, theta: np.ndarray) -> np.ndarray:
+        """Support at the angles ``theta`` of the unshifted tail's essential
+        numerical range, in closed form; every family states its own.  The
+        dense-angle diagonal is normal with the whole unit circle as its
+        essential spectrum, so its range is the closed unit disc
+        (Fillmore, Stampfli and Williams 1972)."""
+        if self.name != "dense_angle_diagonal":
+            raise NotImplementedError(f"no closed-form essential range for {self.name!r}")
+        return np.ones(np.shape(theta))
+
     @property
     def norm_bound(self) -> float:
         return 1.0

@@ -15,13 +15,13 @@ checks the block generator on one round of tail blocks through the
 Lipschitz law |h_{W(B_n)} - h_{W(L_n)}| <= decay(n) (Weyl); without decay
 those blocks are the limits themselves, and cost only memo hits.
 
-The same law serves a dense tail: the support of W_e in direction theta
-is the limsup of the block supports, the infimum over k of the supports of
-the tail unions from block k on.  The second route samples those unions by
-the windows at the doubling starts below ``converged_at``, reads their grid
-supports straight from their points, and measures how far the region's
-support exceeds the smallest of them.  It builds no hull and intersects
-nothing.
+A builtin tail states its essential range in closed form.  The dense-angle
+diagonal is normal and its entries are dense in the unit circle, so W_e is
+the closed unit disc about -shift, whatever the prefix, with support
+1 - Re(e^{-i theta} shift).  The second route compares that with the
+region's support at the grid directions, both ways: the region lies in the
+disc, so an excess is rounding, and a deficit is the sampling's covering
+error.  It builds no window, no hull and intersects nothing.
 """
 
 from __future__ import annotations
@@ -38,7 +38,6 @@ from .blockop import (
     BuiltinTail,
     VanishingTail,
     limsup_ranges,
-    tail_union,
 )
 from .convex2d import DEFAULT_GRID, ConvexRegion, PointCloud, grid_angles
 from .errors import HorizonTooSmall, InconsistentResult, NoConvergence
@@ -55,8 +54,8 @@ class EssentialRangeResult:
     disagreement with the second route: for limit-block tails the largest
     grid-direction difference from the support function of the limit
     blocks (plus any excess of the tail blocks over the Lipschitz law), for
-    builtin tails the largest grid-direction excess of the region's support
-    over the smallest support of the tail windows at the doubling starts.
+    builtin tails the largest grid-direction difference from the support of
+    the family's closed-form essential range, shifted.
     ``tolerance`` combines the cloud resolution, the stabilisation
     threshold and a floating-point floor.
     """
@@ -105,23 +104,6 @@ def _check_horizon(spec: BlockOperatorSpec, horizon: int | None) -> None:
         )
 
 
-def _window_gap(spec: BlockOperatorSpec, region: ConvexRegion, converged_at: int, horizon) -> float:
-    """Largest excess of the support of ``region`` over the smallest support
-    of the tail windows at the doubling starts k0 * 2^i below
-    ``converged_at``, at the grid directions.  Each window's support is read
-    from its points, 2048 at a time; none is hulled."""
-    th = grid_angles(region.grid_size)
-    dirs = np.column_stack((np.cos(th), np.sin(th)))
-    low, start = np.inf, spec.prefix_len + 1
-    while start < converged_at:
-        pts = tail_union(spec, start, horizon).points
-        xy = np.stack((pts.real, pts.imag))
-        h = [(dirs @ xy[:, lo : lo + 2048]).max(axis=1) for lo in range(0, pts.size, 2048)]
-        low = np.minimum(low, np.max(h, axis=0))
-        start *= 2
-    return max(0.0, float((region.support - low).max()))
-
-
 def _limit_gap(spec: BlockOperatorSpec, region: ConvexRegion, grid: int, tol: float) -> float:
     """The support route of a limit-block tail: the largest grid-direction
     difference between the support of ``region`` and the largest outer
@@ -155,7 +137,10 @@ def essential_numerical_range(
     region = ConvexRegion.from_points(lim.cloud.points, grid)
 
     if isinstance(spec.tail, BuiltinTail):
-        gap = _window_gap(spec, region, lim.converged_at, horizon)
+        # W_e(T - s) = W_e(T) - s: the support drops by Re(e^{-i theta} s)
+        th = grid_angles(grid)
+        h = spec.tail.essential_support(th) - (np.exp(-1j * th) * spec.shift).real
+        gap = float(np.abs(region.support - h).max())
     else:
         _check_reach(spec.tail, eps, k_cap)
         _check_horizon(spec, horizon)

@@ -4,14 +4,16 @@ The essential range is the hull of the limsup cloud; every test here pins it
 against something computable by hand (cycles, explicit limits, translations)
 or against the second route, whose gap is carried on the result as
 ``crosscheck_gap``: the support function of the limit blocks for limit-block
-tails (periodic or vanishing), the smallest support of the tail windows at the
-doubling starts for dense tails.
+tails (periodic or vanishing), and for dense tails the closed-form support of
+the unit disc about -shift, which bounds the gap both ways.
 """
 
 from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
 from blockrange import (
@@ -192,12 +194,27 @@ class TestCrosscheckCatchesFaults:
         with pytest.raises(InconsistentResult):
             essential_numerical_range(dense_spec(), eps=0.05, k_cap=2**16)
 
+    def test_dense_cloud_cut_to_a_quarter_arc(self, monkeypatch):
+        # the region then falls short of the disc by about 1.7 towards -1,
+        # and the gap counts a deficit as well as an excess
+        real = essrange.limsup_ranges
+
+        def cut(*args):
+            lim = real(*args)
+            pts = lim.cloud.points  # on the unit circle: dense_spec has no shift
+            kept = pts[np.abs(np.angle(pts)) <= np.pi / 4]
+            return replace(lim, cloud=PointCloud(kept, lim.cloud.resolution))
+
+        monkeypatch.setattr(essrange, "limsup_ranges", cut)
+        with pytest.raises(InconsistentResult):
+            essential_numerical_range(dense_spec(), eps=0.05, k_cap=2**16)
+
 
 @pytest.mark.parametrize("prefix, eps", [((), 0.05), ((2.0 - 1j,), 0.1), ((0.3j, -1.5, 4.0), 0.08)])
 def test_dense_essential_range_hulls_once(monkeypatch, prefix, eps):
     # the region is the one hull: the doubling loop compares clouds on
-    # their circle, and the crosscheck reads the windows' supports from
-    # their points, so nothing is intersected
+    # their circle, and the crosscheck reads the disc's closed-form
+    # support, so nothing is intersected
     real, real_intersect = ConvexRegion.from_points.__func__, convex2d.intersect_regions
     calls = {"hull": 0, "intersect": 0}
 
@@ -215,8 +232,25 @@ def test_dense_essential_range_hulls_once(monkeypatch, prefix, eps):
     spec = dense_spec(prefix=[mat([[v]]) for v in prefix])
     res = essential_numerical_range(spec, eps=eps, k_cap=2**16)
     assert calls == {"hull": 1, "intersect": 0}
-    # the crosscheck compared the windows at k0 and 2 k0 at least
+    # the doubling loop compared the windows at k0, 2 k0 and 4 k0 at least
     assert res.converged_at >= 4 * (spec.prefix_len + 1)
+
+
+@given(
+    st.lists(st.complex_numbers(max_magnitude=3.0), max_size=3),
+    st.complex_numbers(min_magnitude=1e-3, max_magnitude=2.0),
+    st.sampled_from([0.05, 0.08, 0.1]),
+)
+@settings(max_examples=30, deadline=None)
+def test_dense_gap_within_the_inscribed_polygon_bound(prefix, shift, eps):
+    # a polygon inscribed in a circle with largest angular gap g falls
+    # short of the circle's support by at most 1 - cos(g / 2), and never
+    # exceeds it; a closed form about +shift instead of -shift breaks this
+    spec = translate_spec(dense_spec(prefix=[mat([[v]]) for v in prefix]), shift)
+    res = essential_numerical_range(spec, eps=eps, k_cap=2**16)
+    ang = np.sort(np.angle(res.limsup.points + shift))
+    g = max(np.diff(ang).max(), 2 * np.pi - (ang[-1] - ang[0]))
+    assert res.crosscheck_gap <= 1 - np.cos(g / 2) + 1e-12
 
 
 @pytest.mark.parametrize(
