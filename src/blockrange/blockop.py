@@ -15,8 +15,11 @@ already built, by the first index that has the same block (so a tail
 without decay builds each cycle position once), and
 ``BlockOperatorSpec.ranges_of`` keeps block ranges, by content.  Regroup
 scans, group ranges and the crosscheck of one operator therefore build
-each block once and compute each distinct block range once.
-``numerical_range`` itself is pure and keeps no state.
+each block once and compute each distinct block range once.  A translated
+spec starts with empty memos, so ``regroup`` scans the operator itself and
+moves its targets instead: after the essential range, a periodic tail's
+decomposition solves only the prefix blocks.  ``numerical_range`` itself
+is pure and keeps no state.
 
 A set of blocks asks for all of its ranges in one request: the ranges not
 yet memoised are computed by ``numerical_ranges``, one stack per block
@@ -40,7 +43,8 @@ from .numrange import NumericalRangeResult, numerical_ranges
 DEFAULT_EPS = 1e-3
 DEFAULT_K_CAP = 2**20
 # A regroup scan of a non-scalar tail may visit up to scan_cap distinct
-# blocks, at about 28 KB per grid-360 result, so the memos are bounded.
+# blocks, at about 28 KB per grid-360 result, so the memos (and the scan's
+# distance rows) are bounded.
 _RANGE_MEMO_CAP = 512
 
 

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import json
 import sys
 from pathlib import Path
@@ -23,7 +24,6 @@ from .blockop import (
     BuiltinTail,
     VanishingTail,
 )
-from .convex2d import PointCloud
 from .errors import (
     BlockRangeError,
     DegenerateGeometry,
@@ -35,11 +35,7 @@ from .errors import (
     ScanExhausted,
     ValidationError,
 )
-from .essrange import (
-    EssentialRangeResult,
-    essential_numerical_range,
-    translate_spec,
-)
+from .essrange import EssentialRangeResult, essential_numerical_range
 from .linalg import ComplexMatrix
 from .numrange import numerical_range
 from .oracle import inner_approximate
@@ -282,42 +278,32 @@ def _cmd_oracle(args) -> int:
     return EXIT_OK
 
 
-def _translated_result(ess: EssentialRangeResult, z: complex) -> EssentialRangeResult:
-    """Essential range of the translated operator: exact pointwise shift."""
-    return EssentialRangeResult(
-        ess.region.translate(-z),
-        PointCloud(ess.limsup.points - z, ess.limsup.resolution),
-        ess.crosscheck_gap,
-        ess.certificate,
-        ess.tolerance,
-        ess.converged_at,
-    )
-
-
 def _run_decomposition(spec: BlockOperatorSpec, args):
+    """The essential range, its translation and the regrouping of T - z,
+    scanned on T itself, whose block ranges the essential range memoised."""
     ess = _compute_essential(spec, args)
     choice = choose_translation(ess.region)
-    tspec = translate_spec(spec, choice.z)
-    tess = _translated_result(ess, choice.z)
     decomp = regroup(
-        tspec,
-        tess,
+        spec,
+        ess,
         eps=args.eps,
         depth=args.groups,
         scan_cap=args.scan_cap,
         grid=args.angles,
+        z=choice.z,
     )
-    return ess, choice, tspec, tess, decomp
+    return ess, choice, decomp
 
 
 def _cmd_decompose(args) -> int:
     spec = _load_spec(args)
-    ess, choice, tspec, tess, decomp = _run_decomposition(spec, args)
+    ess, choice, decomp = _run_decomposition(spec, args)
     # the late groups are hulled once per distinct set of blocks, for the
-    # gap and for the SVG
+    # gap and for the SVG; Hausdorff distance is translation invariant, so
+    # they are measured untranslated, and only the drawing moves by -z
     k0 = max(1, decomp.group_count // 2)
-    groups = late_group_regions(tspec, decomp, k0, args.angles)
-    gap = verify_conv_free(tspec, decomp, tess, k0, args.angles, groups=groups)
+    groups = late_group_regions(spec, decomp, k0, args.angles)
+    gap = verify_conv_free(spec, decomp, ess, k0, args.angles, groups=groups)
     print(f"translation z = {choice.z.real:.6g}{choice.z.imag:+.6g}i "
           f"({choice.reason}, angle margin {choice.angular_margin:.3e})")
     print(f"{decomp.group_count} groups, last boundary {decomp.boundaries[-1]}")
@@ -341,9 +327,9 @@ def _cmd_decompose(args) -> int:
     )
     if args.svg:
         scene = Scene()
-        scene.add_polygon(tess.region.vertices, "fill")
+        scene.add_polygon(ess.region.vertices - choice.z, "fill")
         for region in groups:
-            scene.add_polygon(region.vertices, "accent")
+            scene.add_polygon(region.vertices - choice.z, "accent")
         _write_text(args.svg, scene.render())
     return EXIT_OK
 
@@ -352,15 +338,12 @@ def _cmd_verify(args) -> int:
     spec = _load_spec(args)
     if args.identity:
         ess = _compute_essential(spec, args)
-        choice = choose_translation(ess.region)
-        tspec = translate_spec(spec, choice.z)
-        tess = _translated_result(ess, choice.z)
         decomp = identity_decomposition(args.groups)
         mode = "identity"
     else:
-        ess, choice, tspec, tess, decomp = _run_decomposition(spec, args)
+        ess, _, decomp = _run_decomposition(spec, args)
         mode = "regrouped"
-    gap = verify_conv_free(tspec, decomp, tess, grid=args.angles)
+    gap = verify_conv_free(spec, decomp, ess, grid=args.angles)
     print(f"mode {mode}: conv-free gap {gap:.3e}, "
           f"crosscheck gap {ess.crosscheck_gap:.3e}")
     _write_cert(
@@ -443,9 +426,14 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """The one parser of the process, built on the first ``main`` call."""
+    return build_parser()
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = _parser().parse_args(argv)
     try:
         return args.func(args)
     except (ParseError, ValidationError, HorizonTooSmall, DegenerateGeometry) as exc:

@@ -7,7 +7,10 @@ distinct angles, and consecutive blocks can be merged into growing groups
 whose own (automatically convex) numerical ranges converge to the
 essential numerical range directly: level m splits the circle into m angle
 buckets, picks one extreme point per bucket, and extends the current group
-until it contains a block whose range passes close to every pick.
+until it contains a block whose range passes close to every pick.  The
+translation only places the buckets: W(B - z) = W(B) - z, so the scan and
+the group ranges use the untranslated blocks, whose ranges the essential
+range has already memoised on the spec.
 """
 
 from __future__ import annotations
@@ -16,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .blockop import BlockOperatorSpec, _attained_vertices
+from .blockop import BlockOperatorSpec, _attained_vertices, _remember
 from .convex2d import DEFAULT_GRID, ConvexRegion, extreme_points, hausdorff
 from .errors import DegenerateGeometry, ScanExhausted, ValidationError
 from .essrange import EssentialRangeResult
@@ -148,11 +151,12 @@ def identity_decomposition(count: int) -> Decomposition:
 
 
 def _bucket_targets(ext: np.ndarray, m: int) -> np.ndarray:
-    """One target per bucket: the max-modulus extreme point whose angle
-    falls in bucket j = floor(angle * m / 2 pi), the smallest angle (then
-    the first point) among those within 1e-12 relative of the maximum;
-    empty buckets borrow from the cyclically nearest non-empty one (ties
-    to the lower index).  One sort orders each bucket's candidates."""
+    """Index into ``ext`` of one target per bucket: the max-modulus extreme
+    point whose angle falls in bucket j = floor(angle * m / 2 pi), the
+    smallest angle (then the first point) among those within 1e-12
+    relative of the maximum; empty buckets borrow from the cyclically
+    nearest non-empty one (ties to the lower index).  One sort orders each
+    bucket's candidates."""
     ang = np.mod(np.angle(ext), 2.0 * np.pi)
     buckets = np.minimum((ang * m / (2.0 * np.pi)).astype(int), m - 1)
     mod = np.abs(ext)
@@ -177,24 +181,26 @@ def _bucket_targets(ext: np.ndarray, m: int) -> np.ndarray:
         d_after, d_before = (np.minimum((empty - q) % m, (q - empty) % m) for q in (after, before))
         take_before = (d_before < d_after) | ((d_before == d_after) & (before < after))
         src[empty] = src[np.where(take_before, before, after)]
-    return ext[src]
+    return src
 
 
-def _scan_window(spec: BlockOperatorSpec, targets: np.ndarray, j: int,
-                 distances: dict[bytes, np.ndarray], threshold: float,
+def _scan_window(spec: BlockOperatorSpec, points: np.ndarray, level: np.ndarray,
+                 target: int, rows: dict[bytes, np.ndarray], threshold: float,
                  start: int, cap: int, grid: int, tol: float):
     """First block index n >= start whose range passes within ``threshold``
-    of ``targets[j]``, or None after examining ``cap`` blocks.
+    of ``points[target]``, or None after examining ``cap`` blocks.
 
     Uses the attained (inner) polygon of each block range, so a hit
     certifies a genuine numerical-range point near the target.  The scan
-    goes block by block, so no range past the hit is computed, but the
-    first visit to a block measures its inner polygon's distance to every
-    target of the level at once: ``distances`` keeps those, keyed by the
-    block's entries, for the other targets of the level, which meet the
-    same blocks again when the tail repeats.
+    goes block by block, so no range past the hit is computed.  ``rows``
+    keeps one distance row over all of ``points`` per distinct block, keyed
+    by the block's entries, with NaN where the block has not met a point
+    yet.  A visit that needs one fills in the level's targets (the distinct
+    indices ``level``) that the block has not met, in one distance call, so
+    a block that recurs, as a periodic tail's do, meets each target once in
+    the whole ``regroup`` call.
     """
-    target = targets[j]
+    point = points[target]
     n = start
     budget = cap
     p = spec.prefix_len
@@ -205,7 +211,7 @@ def _scan_window(spec: BlockOperatorSpec, targets: np.ndarray, j: int,
             cnt = min(budget, chunk)
             chunk = min(2 * chunk, _SCAN_CHUNK)
             vals = spec.window_values(n, cnt)
-            d = np.abs(vals - target)
+            d = np.abs(vals - point)
             hits = np.flatnonzero(d < threshold)
             if hits.size:
                 h = int(hits[0])
@@ -215,9 +221,13 @@ def _scan_window(spec: BlockOperatorSpec, targets: np.ndarray, j: int,
         else:
             blk = spec.cached_block(n)
             key = blk.entries.tobytes()
-            if key not in distances:
-                distances[key] = spec.range_of(blk, grid, tol).inner.distance(targets)
-            d = float(distances[key][j])
+            row = rows.get(key)
+            if row is None:
+                row = _remember(rows, key, np.full(points.size, np.nan))
+            if np.isnan(row[target]):
+                new = level[np.isnan(row[level])]
+                row[new] = spec.range_of(blk, grid, tol).inner.distance(points[new])
+            d = float(row[target])
             if d < threshold:
                 return n, d
             n += 1
@@ -233,13 +243,19 @@ def regroup(
     scan_cap: int = DEFAULT_SCAN_CAP,
     grid: int = DEFAULT_GRID,
     tol: float = DEFAULT_EIG_TOL,
+    z: complex = 0j,
 ) -> Decomposition:
-    """Build the group boundaries of the hull-free decomposition.
+    """Build the group boundaries of the hull-free decomposition of T - z.
 
-    ``we`` must be the essential range of ``spec`` itself (already
-    translated so the origin avoids the extreme points).  Level m picks one
-    extreme point per angle bucket and extends the group until every pick
-    has been approached within eps / m by some block range.
+    ``we`` must be the essential range of ``spec``, the operator T, and
+    ``z`` a translation that puts the origin inside W_e(T) - z, away from
+    its extreme points, as ``choose_translation`` returns it.  Level m picks one
+    extreme point of W_e(T) - z per angle bucket and extends the group
+    until every pick has been approached within eps / m by some block
+    range.  The blocks are those of T: W(B - zI) = W(B) - z, so the scan
+    measures them against the picks moved by +z, and the block ranges that
+    the essential range memoised on ``spec`` serve again.  Distances are
+    translation invariant, and the decomposition is that of T as well.
     """
     if not (np.isfinite(eps) and eps > 0):
         raise ValidationError(f"eps must be finite and positive, got {eps}")
@@ -247,12 +263,15 @@ def regroup(
         raise ValidationError(f"depth must be at least 1, got {depth}")
     if scan_cap < 1:
         raise ValidationError(f"scan cap must be at least 1, got {scan_cap}")
-    ext = extreme_points(we.region).points
+    ext = extreme_points(we.region.translate(-z)).points
     scale = float(np.abs(ext).max())
     if float(np.min(np.abs(ext))) <= 1e-9 * scale:
         raise DegenerateGeometry(
             "an extreme point sits at the origin; translate the operator first"
         )
+    # the targets in the coordinates of ``spec``, whose blocks are scanned
+    points = ext + z
+    rows: dict[bytes, np.ndarray] = {}
     boundaries: list[int] = []
     levels: list[tuple[GroupSelection, ...]] = []
     cursor = 0
@@ -260,14 +279,14 @@ def regroup(
         threshold = eps / m
         picks: list[GroupSelection] = []
         targets = _bucket_targets(ext, m)
-        distances: dict[bytes, np.ndarray] = {}
+        level = np.unique(targets)
         for j, target in enumerate(targets.tolist()):
-            hit = _scan_window(spec, targets, j, distances, threshold, cursor + 1,
+            hit = _scan_window(spec, points, level, target, rows, threshold, cursor + 1,
                                scan_cap, grid, tol)
             if hit is None:
-                raise ScanExhausted(m, j, target, scan_cap)
+                raise ScanExhausted(m, j, complex(ext[target]), scan_cap)
             cursor, dist = hit
-            picks.append(GroupSelection(j, target, cursor, dist))
+            picks.append(GroupSelection(j, complex(ext[target]), cursor, dist))
         boundaries.append(cursor)
         levels.append(tuple(picks))
     return Decomposition(tuple(boundaries), tuple(levels), eps)

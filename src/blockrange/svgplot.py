@@ -79,7 +79,14 @@ class Scene:
                 f'<line x1="0" y1="{py:.3f}" x2="{_SIZE}" y2="{py:.3f}" '
                 'stroke="#dddddd" stroke-width="1"/>'
             )
+        # an item drawn again (decompose draws one late-group hull for many
+        # levels) is formatted once
+        drawn: dict[tuple[str, str, bytes], str] = {}
         for kind, pts, style in self._items:
+            key = (kind, style, pts.tobytes())
+            if key in drawn:
+                lines.append(drawn[key])
+                continue
             stroke, fill = _PALETTE.get(style, _PALETTE["region"])
             # one %-format over every coordinate of the item
             xy = tuple(to_px(pts).tolist())
@@ -92,5 +99,6 @@ class Scene:
             else:
                 circle = f'<circle cx="%.3f" cy="%.3f" r="2" fill="{fill}" stroke="none"/>'
                 lines.append("\n".join([circle] * pts.size) % xy)
+            drawn[key] = lines[-1]
         lines.append("</svg>")
         return "\n".join(lines) + "\n"

@@ -243,8 +243,10 @@ class TestDecomposeVerify:
             assert int(row[0]) == m
             assert float(row[2]) < 0.5 / m
 
-    def test_decompose_builds_each_periodic_block_once(self, tmp_path, monkeypatch):
-        # the operator and its translate each build at most one block per
+    @staticmethod
+    def assert_builds_each_block_once(tmp_path, monkeypatch, command):
+        # the regroup scan and the group ranges run on the operator itself,
+        # not on a translate, so one spec builds blocks: at most one per
         # prefix index and per cycle position, however far the scans go
         built = []
         build = BlockOperatorSpec.block
@@ -256,20 +258,27 @@ class TestDecomposeVerify:
         monkeypatch.setattr(BlockOperatorSpec, "block", counting)
         spec = BlockOperatorSpec((DIAG23,), VanishingTail((NILPOTENT, DIAG23, mat([[1j]]))))
         path = write_spec(tmp_path, spec)
-        assert main(["decompose", path, "--groups", "8", "--eps", "0.5"]) == 0
+        assert main([command, path, "--groups", "8", "--eps", "0.5"]) == 0
         per_spec = Counter(owner for owner, _ in built)
-        assert len(per_spec) == 2 and max(per_spec.values()) <= 1 + 3
+        assert len(per_spec) == 1 and max(per_spec.values()) <= 1 + 3
         assert len(set(built)) == len(built)
+
+    def test_decompose_builds_each_periodic_block_once(self, tmp_path, monkeypatch):
+        self.assert_builds_each_block_once(tmp_path, monkeypatch, "decompose")
+
+    def test_verify_builds_each_periodic_block_once(self, tmp_path, monkeypatch):
+        self.assert_builds_each_block_once(tmp_path, monkeypatch, "verify")
 
     @pytest.mark.parametrize("kind", ["periodic", "scalar", "decaying"])
     def test_decompose_hulls_each_distinct_late_group_once(self, tmp_path, monkeypatch, kind):
         # a periodic tail's late groups hold the same blocks, so one hull
         # serves them all; a decaying tail's blocks all differ, so each
-        # late level is hulled; every region drawn and measured is bit for
-        # bit the one group_region builds for its level
+        # late level is hulled; every region measured is bit for bit the
+        # one group_region builds for its level of the untranslated
+        # operator, and every region drawn is that one translated by -z
         regroup_module = importlib.import_module("blockrange.regroup")
         original = regroup_module.group_region
-        calls, seen = [], []
+        calls, seen, drawn = [], [], []
 
         def counting(spec, decomp, m, *args):
             calls.append((spec, decomp, m, args))
@@ -279,24 +288,37 @@ class TestDecomposeVerify:
             seen.append((from_level, grid, groups))
             return verify(spec, decomp, we, from_level, grid, groups=groups)
 
+        def polygon(scene, vertices, style="region"):
+            drawn.append((style, np.array(vertices)))
+            return add_polygon(scene, vertices, style)
+
         verify = blockrange.cli.verify_conv_free
+        add_polygon = blockrange.cli.Scene.add_polygon
         monkeypatch.setattr(regroup_module, "group_region", counting)
         monkeypatch.setattr(blockrange.cli, "verify_conv_free", measured)
+        monkeypatch.setattr(blockrange.cli.Scene, "add_polygon", polygon)
         spec = {
             "periodic": BlockOperatorSpec((DIAG23,), VanishingTail((NILPOTENT, DIAG23, mat([[1j]])))),
             "scalar": scalar_periodic_spec([1.0, 1j, -1.0, -1j, 0.5 + 0.5j], prefix=[2.0]),
             "decaying": vanishing_spec([[[0, 1], [0, 0]], [[1.5]]], c=0.5, p=2.0, seed=11),
         }[kind]
         path = write_spec(tmp_path, spec)
-        assert main(["decompose", path, "--groups", "10", "--eps", "0.5", "--angles", "90"]) == 0
+        cert = tmp_path / "decomp.json"
+        assert main(["decompose", path, "--groups", "10", "--eps", "0.5", "--angles", "90",
+                     "--svg", str(tmp_path / "decomp.svg"), "--cert", str(cert)]) == 0
+        z = complex(*json.loads(cert.read_text())["translation"])
         (k0, grid, groups), = seen
         assert (k0, grid, len(groups)) == (5, 90, 6)
-        tspec, decomp = calls[0][0], calls[0][1]
+        owner, decomp = calls[0][0], calls[0][1]
+        assert owner.shift == spec.shift
         assert [m for _, _, m, _ in calls] == ([5, 6, 7, 8, 9, 10] if kind == "decaying" else [5])
-        for m, region in enumerate(groups, start=k0):
-            fresh = original(tspec, decomp, m, grid)
+        accents = [v for style, v in drawn if style == "accent"]
+        assert len(accents) == 6
+        for m, (region, accent) in enumerate(zip(groups, accents), start=k0):
+            fresh = original(owner, decomp, m, grid)
             assert region.vertices.tobytes() == fresh.vertices.tobytes()
             assert region.support.tobytes() == fresh.support.tobytes()
+            assert accent.tobytes() == fresh.translate(-z).vertices.tobytes()
 
     def test_verify_regrouped_beats_identity(self, tmp_path, capsys):
         path = write_spec(tmp_path, TWO_MATRIX)

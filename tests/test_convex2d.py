@@ -488,6 +488,21 @@ class TestIntersect:
         for ca, cb in cases:
             self.assert_matches_brute(ca, cb)
 
+    @pytest.mark.parametrize("depth", [2e-12, 5e-12, 9e-12])
+    def test_corner_within_tol_of_an_edge_is_not_doubled(self, depth):
+        # a wedge whose apex lies inside the unit square, ``depth`` below its
+        # top edge: within tol (1e-12 x the largest modulus, about 1.1e-11)
+        # of that edge, but 10 to 100 snap cells (1.1e-14 at the apex) from
+        # where the wedge's edges cross it.  Those crossings are not proper,
+        # so the intersection is the apex alone, within tol of the true
+        # sliver; crossings taken on bare sign changes would add two corners
+        # that the hull keeps
+        apex = 0.5 + (1.0 - depth) * 1j
+        wedge = ConvexRegion.from_points([apex, -0.5 + 11j, 1.5 + 11j])
+        for x, y in ((square(), wedge), (wedge, square())):
+            out = intersect_regions(x, y)
+            assert out.vertices.tolist() == [apex]
+
     def test_points_and_segments_against_brute(self):
         sq = np.array([0, 1, 1 + 1j, 1j])
         cases = [

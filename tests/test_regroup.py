@@ -6,6 +6,7 @@ every representative has been approached within eps/m.  The group ranges
 are then convex sets converging to the essential range on their own.
 """
 
+import dataclasses
 import importlib
 
 import numpy as np
@@ -44,6 +45,7 @@ from helpers import (
     scalar_periodic_spec,
     support_excess,
     two_matrix_spec,
+    vanishing_spec,
 )
 
 # the package re-exports a function named ``regroup``, which shadows the
@@ -264,18 +266,81 @@ def _extreme_sets(draw):
     return np.array(pts + [pts[i] for i in copies])
 
 
+def _translated(we, z):
+    """The essential range of T - z as the CLI hands it to ``regroup``: the
+    region of T moved by -z (the only field ``regroup`` reads)."""
+    return dataclasses.replace(we, region=we.region.translate(-z))
+
+
+@st.composite
+def _tails(draw):
+    """A small operator of one of three kinds: a periodic tail of 1x1 to
+    3x3 blocks, a scalar periodic tail, or a tail decaying to its limits;
+    each with a prefix of 0 to 2 blocks."""
+    kind = draw(st.sampled_from(["periodic", "scalar", "decaying"]))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    dims = (lambda: 1) if kind == "scalar" else (lambda: int(rng.integers(1, 4)))
+    cycle = [random_matrix(rng, dims()) for _ in range(draw(st.integers(1, 3)))]
+    prefix = [random_matrix(rng, dims()) for _ in range(draw(st.integers(0, 2)))]
+    c = draw(st.floats(0.05, 0.5)) if kind == "decaying" else 0.0
+    return vanishing_spec(cycle, c=c, p=draw(st.floats(1.0, 2.0)), seed=draw(st.integers(0, 99)),
+                          prefix=prefix)
+
+
+class TestScanOnTheUntranslatedOperator:
+    """``regroup(spec, we, z=z)`` scans the blocks of T against the picks of
+    W_e(T) - z moved by +z.  It must give the decomposition that the scan
+    of the translated operator T - z gives, and it must measure each
+    distinct block against each distinct target once."""
+
+    @settings(max_examples=40, deadline=None)
+    @given(spec=_tails(), eps=st.floats(0.02, 0.2), depth=st.integers(2, 10))
+    def test_matches_the_scan_of_the_translate(self, spec, eps, depth):
+        we = essential_numerical_range(spec, grid=90)
+        z = choose_translation(we.region).z
+        eps *= spec.norm_bound
+        got = regroup(spec, we, eps=eps, depth=depth, grid=90, z=z)
+        # the public form on a fresh memo: every block solved again, shifted
+        want = regroup(translate_spec(spec, z), _translated(we, z), eps=eps, depth=depth, grid=90)
+        assert got.boundaries == want.boundaries
+        for mine, theirs in zip(got.selections, want.selections):
+            for a, b in zip(mine, theirs, strict=True):
+                assert (a.bucket, a.target, a.block_index) == (b.bucket, b.target, b.block_index)
+                assert abs(a.distance - b.distance) <= 1e-12 * spec.norm_bound
+
+    @pytest.mark.parametrize("c", [0.0, 0.3])
+    def test_each_block_meets_each_target_once(self, monkeypatch, rng, c):
+        # a periodic tail's blocks recur every cycle and at every level; a
+        # decaying tail's blocks are each seen once
+        measured = []
+        distance = ConvexRegion.distance
+
+        def counting(region, points):
+            pts = np.asarray(points, dtype=complex).ravel()
+            measured.extend((region.vertices.tobytes(), p.tobytes()) for p in pts)
+            return distance(region, points)
+
+        cycle = [random_matrix(rng, n) for n in (2, 3, 1)]
+        spec = vanishing_spec(cycle, c=c, seed=5, prefix=[random_matrix(rng, 2)])
+        we = essential_numerical_range(spec)
+        z = choose_translation(we.region).z
+        monkeypatch.setattr(ConvexRegion, "distance", counting)
+        d = regroup(spec, we, eps=0.3, depth=12, z=z)
+        assert d.boundaries[-1] > 3 * (1 + len(cycle))
+        assert measured and len(set(measured)) == len(measured)
+
+
 class TestBucketTargets:
     @settings(max_examples=300, deadline=None)
     @given(ext=_extreme_sets(), m=st.integers(1, 64))
     def test_one_sort_matches_the_bucket_loop(self, ext, m):
-        assert _hexes(_bucket_targets(ext, m)) == _hexes(bucket_targets_by_loop(ext, m))
+        assert _hexes(ext[_bucket_targets(ext, m)]) == _hexes(bucket_targets_by_loop(ext, m))
 
     def test_empty_buckets_borrow_from_the_nearest(self):
         # points in buckets 1 and 5 of 8: buckets 3 and 7 lie two steps
         # from both, cyclically, and borrow from the lower one, 1
         ext = np.exp(2j * np.pi * np.array([1.5, 5.5]) / 8)
-        got = _bucket_targets(ext, 8).tolist()
-        assert got == [ext[0], ext[0], ext[0], ext[0], ext[1], ext[1], ext[1], ext[0]]
+        assert _bucket_targets(ext, 8).tolist() == [0, 0, 0, 0, 1, 1, 1, 0]
 
 
 class TestLateGroups:

@@ -30,9 +30,17 @@ def _scene(items) -> Scene:
 class TestRender:
     @settings(max_examples=200, deadline=None)
     @given(items=st.lists(_items, min_size=1, max_size=4),
-           offset=st.builds(complex, _coords, _coords))
-    def test_one_pass_matches_the_vertex_loop(self, items, offset):
+           offset=st.builds(complex, _coords, _coords),
+           repeats=st.lists(st.tuples(st.integers(0, 3), st.sampled_from([None, "accent"])),
+                            max_size=12))
+    def test_one_pass_matches_the_vertex_loop(self, items, offset, repeats):
+        # a repeat draws a polygon or cloud again, as decompose draws the
+        # one late group that its levels share: the same array in its own
+        # style, or an equal copy in another
         items = [(kind, np.array(pts) + offset, style) for kind, pts, style in items]
+        for i, style in repeats:
+            kind, pts, own = items[i % len(items)]
+            items.append((kind, pts.copy() if style else pts, style or own))
         assert _scene(items).render() == render_by_vertex(items)
 
     def test_both_axes_polygon_and_cloud(self):
