@@ -13,7 +13,9 @@ Blocks and block ranges are memoised per operator, in FIFO-bounded memos
 that live on the spec: ``BlockOperatorSpec.cached_block`` keeps the blocks
 already built, by the first index that has the same block (so a tail
 without decay builds each cycle position once), and
-``BlockOperatorSpec.ranges_of`` keeps block ranges, by content.  Regroup
+``BlockOperatorSpec.ranges_of`` keeps block ranges, keyed by the block's
+entries and the angle grid, which determine it: every range certifies its
+eigenpairs at the one residual bound of ``max_eigenpairs_batch``.  Regroup
 scans, group ranges and the crosscheck of one operator therefore build
 each block once and compute each distinct block range once.  A translated
 spec starts with empty memos, so ``regroup`` scans the operator itself and
@@ -37,7 +39,7 @@ import numpy as np
 
 from .convex2d import DEFAULT_GRID, PointCloud
 from .errors import HorizonTooSmall, NoConvergence, ValidationError
-from .linalg import DEFAULT_EIG_TOL, ComplexMatrix
+from .linalg import ComplexMatrix
 from .numrange import NumericalRangeResult, numerical_ranges
 
 DEFAULT_EPS = 1e-3
@@ -191,11 +193,6 @@ class BuiltinTail:
         fr = self._angles.fractions(pos + 1, count)
         return np.exp(2j * np.pi * fr)
 
-    def block(self, pos: int, n: int, shift: complex) -> ComplexMatrix:
-        """Block at 0-based tail position ``pos`` (1-based index ``n``),
-        minus ``shift`` times the identity."""
-        return _shifted(ComplexMatrix(self.values(pos, 1).reshape(1, 1)), shift)
-
     def essential_support(self, theta: np.ndarray) -> np.ndarray:
         """Support at the angles ``theta`` of the unshifted tail's essential
         numerical range, in closed form; every family states its own.  The
@@ -225,7 +222,7 @@ class BlockOperatorSpec:
     prefix: tuple[ComplexMatrix, ...]
     tail: Tail
     shift: complex = 0j
-    _ranges: dict[tuple[bytes, int, float], NumericalRangeResult] = field(
+    _ranges: dict[tuple[bytes, int], NumericalRangeResult] = field(
         default_factory=dict, init=False, repr=False, compare=False
     )
     _blocks: dict[int, ComplexMatrix] = field(
@@ -252,21 +249,21 @@ class BlockOperatorSpec:
     def apply_shift(self, m: ComplexMatrix) -> ComplexMatrix:
         return _shifted(m, self.shift)
 
-    def range_of(self, m: ComplexMatrix, grid: int, tol: float) -> NumericalRangeResult:
-        """``numerical_range(m, grid, tol)`` of a block of this operator,
+    def range_of(self, m: ComplexMatrix, grid: int) -> NumericalRangeResult:
+        """``numerical_range(m, grid)`` of a block of this operator,
         memoised on the spec: a repeated request returns the same object."""
-        return self.ranges_of((m,), grid, tol)[0]
+        return self.ranges_of((m,), grid)[0]
 
-    def ranges_of(self, blocks, grid: int, tol: float) -> list[NumericalRangeResult]:
-        """``numerical_range(m, grid, tol)`` of every block ``m`` of
-        ``blocks``, in order, memoised on the spec.
+    def ranges_of(self, blocks, grid: int) -> list[NumericalRangeResult]:
+        """``numerical_range(m, grid)`` of every block ``m`` of ``blocks``,
+        in order, memoised on the spec by the block's entries and the grid.
 
         Memoised ranges are returned as they are; the others are computed
         by ``numerical_ranges``, one request per block dimension, and
         memoised in the order of their first appearance in ``blocks``.
         """
         blocks = list(blocks)
-        keys = [(m.entries.tobytes(), grid, tol) for m in blocks]
+        keys = [(m.entries.tobytes(), grid) for m in blocks]
         found = {k: self._ranges[k] for k in keys if k in self._ranges}
         missing: dict = {}
         for k, m in zip(keys, blocks):
@@ -276,19 +273,26 @@ class BlockOperatorSpec:
         for k, m in missing.items():
             by_dim.setdefault(m.dim, []).append(k)
         for dim_keys in by_dim.values():
-            results = numerical_ranges([missing[k] for k in dim_keys], grid, tol)
+            results = numerical_ranges([missing[k] for k in dim_keys], grid)
             found.update(zip(dim_keys, results))
         for k in missing:
             _remember(self._ranges, k, found[k])
         return [found[k] for k in keys]
 
-    def cached_block(self, n: int) -> ComplexMatrix:
-        """``block(n)``, memoised on the spec by the first index that has
-        the same block: a block already built is returned again instead of
-        rebuilt, and a tail without decay builds each cycle position once."""
+    def _first_index(self, n: int) -> int:
+        """The first block index whose block is ``block(n)`` by
+        construction: on a tail without decay, the index of ``n``'s cycle
+        position in the first round of the tail; ``n`` itself otherwise."""
         p, t = len(self.prefix), self.tail
         if n > p and isinstance(t, VanishingTail) and t.decay_scale == 0:
-            n = p + 1 + (n - p - 1) % len(t.limits)
+            return p + 1 + (n - p - 1) % len(t.limits)
+        return n
+
+    def cached_block(self, n: int) -> ComplexMatrix:
+        """``block(n)``, memoised on the spec by ``_first_index(n)``: a block
+        already built is returned again instead of rebuilt, and a tail
+        without decay builds each cycle position once."""
+        n = self._first_index(n)
         hit = self._blocks.get(n)
         if hit is None:
             hit = _remember(self._blocks, n, self.block(n))
@@ -300,7 +304,10 @@ class BlockOperatorSpec:
             raise ValidationError(f"block indices are 1-based, got {n}")
         if n <= len(self.prefix):
             return self.apply_shift(self.prefix[n - 1])
-        return self.tail.block(n - len(self.prefix) - 1, n, self.shift)
+        pos, t = n - len(self.prefix) - 1, self.tail
+        if isinstance(t, BuiltinTail):
+            return _shifted(ComplexMatrix(t.values(pos, 1).reshape(1, 1)), self.shift)
+        return t.block(pos, n, self.shift)
 
     @property
     def tail_is_scalar(self) -> bool:
@@ -340,14 +347,14 @@ class BlockOperatorSpec:
         return out - self.shift
 
 
-def _attained_vertices(spec: BlockOperatorSpec, blocks, grid: int, tol: float):
+def _attained_vertices(spec: BlockOperatorSpec, blocks, grid: int):
     """Attained-boundary vertices of the distinct blocks of ``blocks``, in
     the order of their first appearance, and their worst sandwich gap; the
     ranges are one request to the spec."""
     distinct: dict[bytes, ComplexMatrix] = {}
     for blk in blocks:
         distinct.setdefault(blk.entries.tobytes(), blk)
-    results = spec.ranges_of(list(distinct.values()), grid, tol)
+    results = spec.ranges_of(list(distinct.values()), grid)
     return [r.inner.vertices for r in results], max([0.0, *(r.gap for r in results)])
 
 
@@ -421,7 +428,6 @@ def limsup_ranges(
     k_cap: int = DEFAULT_K_CAP,
     grid: int = DEFAULT_GRID,
     horizon: int | None = None,
-    tol: float = DEFAULT_EIG_TOL,
 ) -> LimsupResult:
     """Closed limsup of the block range sequence, as a certified cloud.
 
@@ -440,7 +446,7 @@ def limsup_ranges(
 
     if isinstance(t, VanishingTail):
         limits = [spec.apply_shift(lim) for lim in t.limits]
-        pts, gap = _attained_vertices(spec, limits, grid, tol)
+        pts, gap = _attained_vertices(spec, limits, grid)
         return LimsupResult(PointCloud(np.concatenate(pts), gap), k0, ((k0, 0.0),))
 
     start = k0

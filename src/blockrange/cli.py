@@ -363,60 +363,60 @@ def _cmd_verify(args) -> int:
 
 
 def build_parser() -> argparse.ArgumentParser:
+    """The parser of every subcommand.  Each subcommand declares only the
+    flags it reads, from parent parsers that declare each shared flag once;
+    any other flag is a usage error (exit 2)."""
     parser = argparse.ArgumentParser(
         prog="blockrange",
         description="Numerical ranges and essential numerical ranges of "
         "block diagonal operators.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-
-    common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("specfile", help="JSON operator description")
-    common.add_argument("--angles", type=int, default=360,
+    spec, angles, limsup, plots, cert, scan = (
+        argparse.ArgumentParser(add_help=False) for _ in range(6)
+    )
+    spec.add_argument("specfile", help="JSON operator description")
+    angles.add_argument("--angles", type=int, default=360,
                         help="angle grid size (default 360)")
-    common.add_argument("--eps", type=float, default=1e-3,
+    limsup.add_argument("--eps", type=float, default=1e-3,
                         help="stabilisation / scan threshold, an absolute distance "
                         "in the operator's units, not scaled by its norm (default 1e-3)")
-    common.add_argument("--horizon", type=int, default=None,
+    limsup.add_argument("--horizon", type=int, default=None,
                         help="tail window length override")
-    common.add_argument("--k-cap", type=int, default=2**20, dest="k_cap",
+    limsup.add_argument("--k-cap", type=int, default=2**20, dest="k_cap",
                         help="window start cap for tail doubling (default 2^20)")
-    common.add_argument("--seed", type=int, default=0, help="sampling seed")
-    common.add_argument("--csv", default=None, help="write CSV artifact here")
-    common.add_argument("--svg", default=None, help="write SVG artifact here")
-    common.add_argument("--cert", default=None, help="write certificate JSON here")
+    plots.add_argument("--csv", default=None, help="write CSV artifact here")
+    plots.add_argument("--svg", default=None, help="write SVG artifact here")
+    cert.add_argument("--cert", default=None, help="write certificate JSON here")
+    scan.add_argument("--groups", type=int, default=64,
+                      help="number of groups (default 64)")
+    scan.add_argument("--scan-cap", type=int, default=10**6, dest="scan_cap",
+                      help="blocks examined per scan before giving up")
 
-    p_range = sub.add_parser("range", parents=[common],
+    p_range = sub.add_parser("range", parents=[spec, angles, plots],
                              help="numerical range of one block")
     p_range.add_argument("--block", type=int, default=1,
                          help="1-based block index (default 1)")
     p_range.set_defaults(func=_cmd_range)
 
-    p_ess = sub.add_parser("essential", parents=[common],
+    p_ess = sub.add_parser("essential", parents=[spec, angles, limsup, plots, cert],
                            help="essential numerical range of the operator")
     p_ess.set_defaults(func=_cmd_essential)
 
-    p_dec = sub.add_parser("decompose", parents=[common],
+    p_dec = sub.add_parser("decompose", parents=[spec, angles, limsup, plots, cert, scan],
                            help="hull-free regrouping of the blocks")
-    p_dec.add_argument("--groups", type=int, default=64,
-                       help="number of groups to build (default 64)")
-    p_dec.add_argument("--scan-cap", type=int, default=10**6, dest="scan_cap",
-                       help="blocks examined per scan before giving up")
     p_dec.set_defaults(func=_cmd_decompose)
 
-    p_ver = sub.add_parser("verify", parents=[common],
+    p_ver = sub.add_parser("verify", parents=[spec, angles, limsup, cert, scan],
                            help="conv-free and crosscheck gaps")
-    p_ver.add_argument("--groups", type=int, default=64,
-                       help="number of groups (default 64)")
-    p_ver.add_argument("--scan-cap", type=int, default=10**6, dest="scan_cap",
-                       help="blocks examined per scan before giving up")
     p_ver.add_argument("--identity", action="store_true",
                        help="score the one-block-per-group baseline instead "
                             "of regrouping")
     p_ver.set_defaults(func=_cmd_verify)
 
-    p_orc = sub.add_parser("oracle", parents=[common],
+    p_orc = sub.add_parser("oracle", parents=[spec, plots],
                            help="independent inner samples of the essential range")
+    p_orc.add_argument("--seed", type=int, default=0, help="sampling seed")
     p_orc.add_argument("--samples", type=int, default=2000,
                        help="number of sampled essential values (default 2000)")
     p_orc.add_argument("--tail-start", type=int, default=None, dest="tail_start",

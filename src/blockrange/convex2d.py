@@ -337,6 +337,19 @@ def _support_vertices(h: np.ndarray, th: np.ndarray) -> np.ndarray:
     return vx + 1j * vy
 
 
+def _diameter_pair(v: np.ndarray) -> tuple[int, int]:
+    """Indices of two vertices of the CCW convex polygon ``v`` at its
+    largest vertex distance.  A diameter pair is an antipodal pair: the
+    vertices supporting opposite directions, on the fan merged with itself
+    turned by pi, so one walk over the arcs finds it in linear time."""
+    fan = _fan(v)
+    start, end = _arcs(fan[1], fan[1] + np.pi)
+    mid = 0.5 * (start + end)
+    a, b = _supporting(fan, mid), _supporting(fan, mid + np.pi)
+    k = int(np.argmax(np.abs(v[a] - v[b])))
+    return int(a[k]), int(b[k])
+
+
 @dataclass(frozen=True)
 class PointCloud:
     """Finite sample of a planar compact set, with a resolution radius.
@@ -400,8 +413,9 @@ class ConvexRegion:
         return cls._build(_hull_vertices(pts), grid)
 
     @classmethod
-    def from_support(cls, support, grid: int | None = None) -> "ConvexRegion":
-        """Region carved out by supporting lines on the full angle grid.
+    def from_support(cls, support) -> "ConvexRegion":
+        """Region carved out by supporting lines on the full angle grid,
+        whose size is the length of ``support``.
 
         ``support`` must be a genuine support function sampled on the grid
         (as produced by eigenvalue probing).  For such input the vertices of
@@ -410,12 +424,9 @@ class ConvexRegion:
         machinery is needed.
         """
         h = np.asarray(support, dtype=np.float64).ravel()
-        k = h.size if grid is None else grid
-        if h.size != k:
-            raise ValidationError(f"support has {h.size} entries, expected {k}")
         if not np.isfinite(h).all():
             raise ValidationError("support values must be finite")
-        return cls._build(_hull_vertices(_support_vertices(h, grid_angles(k))), k)
+        return cls._build(_hull_vertices(_support_vertices(h, grid_angles(h.size))), h.size)
 
     # -- basic geometry --------------------------------------------------
 
@@ -425,14 +436,9 @@ class ConvexRegion:
 
     @property
     def diameter(self) -> float:
-        """Largest vertex distance, over the antipodal pairs: the vertices
-        supporting opposite directions, on the fan merged with itself
-        turned by pi."""
-        v = self.vertices
-        fan = _fan(v)
-        start, end = _arcs(fan[1], fan[1] + np.pi)
-        mid = 0.5 * (start + end)
-        return float(np.abs(v[_supporting(fan, mid)] - v[_supporting(fan, mid + np.pi)]).max())
+        """Largest vertex distance, over the antipodal pairs."""
+        i, j = _diameter_pair(self.vertices)
+        return float(np.abs(self.vertices[i] - self.vertices[j]))
 
     def translate(self, z: complex) -> "ConvexRegion":
         return ConvexRegion._build(self.vertices + z, self.grid_size)

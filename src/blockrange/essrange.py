@@ -41,7 +41,6 @@ from .blockop import (
 )
 from .convex2d import DEFAULT_GRID, ConvexRegion, PointCloud, grid_angles
 from .errors import HorizonTooSmall, InconsistentResult, NoConvergence
-from .linalg import DEFAULT_EIG_TOL
 
 _GAP_FACTOR = 10.0
 
@@ -104,7 +103,7 @@ def _check_horizon(spec: BlockOperatorSpec, horizon: int | None) -> None:
         )
 
 
-def _limit_gap(spec: BlockOperatorSpec, region: ConvexRegion, grid: int, tol: float) -> float:
+def _limit_gap(spec: BlockOperatorSpec, region: ConvexRegion, grid: int) -> float:
     """The support route of a limit-block tail: the largest grid-direction
     difference between the support of ``region`` and the largest outer
     support (lambda_max) of the shifted limit blocks, raised by how far the
@@ -112,9 +111,9 @@ def _limit_gap(spec: BlockOperatorSpec, region: ConvexRegion, grid: int, tol: fl
     |h_{W(B_n)} - h_{W(L_n)}| <= decay(n) + 1e-9 * norm_bound."""
     t = spec.tail
     k0 = spec.prefix_len + 1
-    limits = spec.ranges_of([spec.apply_shift(m) for m in t.limits], grid, tol)
+    limits = spec.ranges_of([spec.apply_shift(m) for m in t.limits], grid)
     ns = range(k0, k0 + len(t.limits))
-    blocks = spec.ranges_of([spec.cached_block(n) for n in ns], grid, tol)
+    blocks = spec.ranges_of([spec.cached_block(n) for n in ns], grid)
     floor = 1e-9 * spec.norm_bound
     excess = max(
         float(np.abs(b.outer.support - lim.outer.support).max()) - t.decay(n) - floor
@@ -130,10 +129,9 @@ def essential_numerical_range(
     eps: float = DEFAULT_EPS,
     k_cap: int = DEFAULT_K_CAP,
     horizon: int | None = None,
-    tol: float = DEFAULT_EIG_TOL,
 ) -> EssentialRangeResult:
     """Essential numerical range of the operator described by ``spec``."""
-    lim = limsup_ranges(spec, eps, k_cap, grid, horizon, tol)
+    lim = limsup_ranges(spec, eps, k_cap, grid, horizon)
     region = ConvexRegion.from_points(lim.cloud.points, grid)
 
     if isinstance(spec.tail, BuiltinTail):
@@ -144,7 +142,7 @@ def essential_numerical_range(
     else:
         _check_reach(spec.tail, eps, k_cap)
         _check_horizon(spec, horizon)
-        gap = _limit_gap(spec, region, grid, tol)
+        gap = _limit_gap(spec, region, grid)
 
     tolerance = lim.cloud.resolution + eps + 1e-9 * spec.norm_bound
     _consistency_gate(gap, tolerance, "essential range")

@@ -8,11 +8,13 @@ negated smallest eigenvalue of H, with its eigenvector), so one solve
 answers two antipodal support queries.  Every returned eigenpair is
 certified a posteriori by its residual ||H x - lam x||, relative to the
 largest entry modulus of H so that the check is invariant under scaling.
+The residual bound is the ``tol`` of ``max_eigenpairs_batch`` alone; the
+range pipelines built on it run at its default, ``DEFAULT_EIG_TOL``.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -43,30 +45,20 @@ def _pow2_scale(moduli):
 class ComplexMatrix:
     """Immutable square complex matrix with a cached operator-norm bound.
 
-    ``norm_bound`` may be any valid upper bound for the spectral norm; when
-    omitted the Frobenius norm is used.  A supplied bound is sanity-checked
-    against the cheap lower bound max-column-norm.
+    ``norm_bound`` is the Frobenius norm, an upper bound for the spectral
+    norm, computed once from the entries.
     """
 
     entries: np.ndarray
-    norm_bound: float = 0.0
+    norm_bound: float = field(init=False)
 
     def __post_init__(self):
         arr = _as_square_array(self.entries)
         arr.setflags(write=False)
         object.__setattr__(self, "entries", arr)
-        # norms are taken at unit scale, so that no square over- or underflows
+        # the norm is taken at unit scale, so that no square over- or underflows
         s = float(_pow2_scale(np.abs(arr).max()))
-        bound = float(self.norm_bound)
-        if bound == 0.0:
-            bound = float(np.linalg.norm(arr / s)) * s
-        else:
-            col_low = float(np.max(np.linalg.norm(arr / s, axis=0))) * s
-            if bound < col_low - 1e-12 * col_low:
-                raise ValidationError(
-                    f"norm_bound {bound} is below the column-norm lower bound {col_low}"
-                )
-        object.__setattr__(self, "norm_bound", bound)
+        object.__setattr__(self, "norm_bound", float(np.linalg.norm(arr / s)) * s)
 
     @property
     def dim(self) -> int:

@@ -49,7 +49,7 @@ from .convex2d import (
     hausdorff,
 )
 from .errors import ValidationError
-from .linalg import DEFAULT_EIG_TOL, ComplexMatrix, _pow2_scale, max_eigenpairs_batch
+from .linalg import ComplexMatrix, _pow2_scale, max_eigenpairs_batch
 
 # Rotated Hermitian parts stacked into one eigensolve hold at most this many
 # matrix entries (16 bytes each), so that a window of large blocks is solved
@@ -73,24 +73,16 @@ class NumericalRangeResult:
     attained: np.ndarray
 
 
-def numerical_range(
-    a: ComplexMatrix,
-    grid: int = DEFAULT_GRID,
-    tol: float = DEFAULT_EIG_TOL,
-) -> NumericalRangeResult:
+def numerical_range(a: ComplexMatrix, grid: int = DEFAULT_GRID) -> NumericalRangeResult:
     """Inner/outer approximation of W(A) on a ``grid``-direction angle grid.
 
     Pure: every call computes a fresh result.  Repeated block ranges of one
     operator are memoised by ``BlockOperatorSpec.ranges_of``.
     """
-    return numerical_ranges([a], grid, tol)[0]
+    return numerical_ranges([a], grid)[0]
 
 
-def numerical_ranges(
-    mats,
-    grid: int = DEFAULT_GRID,
-    tol: float = DEFAULT_EIG_TOL,
-) -> list[NumericalRangeResult]:
+def numerical_ranges(mats, grid: int = DEFAULT_GRID) -> list[NumericalRangeResult]:
     """``numerical_range`` of every matrix of a sequence of equal-dimension
     ``ComplexMatrix`` blocks, in order, computed as stacks.
 
@@ -98,8 +90,6 @@ def numerical_ranges(
     block alone.  The blocks are solved in stacks of at most
     ``_STACK_ENTRIES`` matrix entries.
     """
-    if not (np.isfinite(tol) and tol >= 0):
-        raise ValidationError(f"tol must be finite and non-negative, got {tol}")
     th = grid_angles(grid)
     mats = list(mats)
     if not mats:
@@ -112,7 +102,7 @@ def numerical_ranges(
     return [
         res
         for lo in range(0, len(mats), step)
-        for res in _stack_ranges(entries[lo : lo + step], th, tol)
+        for res in _stack_ranges(entries[lo : lo + step], th)
     ]
 
 
@@ -123,7 +113,7 @@ def _solved(grid: int) -> int:
     return grid // (2 - grid % 2)
 
 
-def _stack_ranges(entries: np.ndarray, th: np.ndarray, tol: float) -> list[NumericalRangeResult]:
+def _stack_ranges(entries: np.ndarray, th: np.ndarray) -> list[NumericalRangeResult]:
     """Ranges of the (B, n, n) stack ``entries`` on the angle grid ``th``,
     one eigensolve for all."""
     grid = th.size
@@ -144,7 +134,7 @@ def _stack_ranges(entries: np.ndarray, th: np.ndarray, tol: float) -> list[Numer
     rot = phases[None, :, None, None] * entries[:, None, :, :]
     hmats = (rot + rot.conj().transpose(0, 1, 3, 2)) / 2.0
     del rot
-    lams, vecs, _ = max_eigenpairs_batch(hmats.reshape(-1, n, n), tol)
+    lams, vecs, _ = max_eigenpairs_batch(hmats.reshape(-1, n, n))
     del hmats
     m = count * solved
     lams = np.concatenate(
@@ -173,7 +163,7 @@ def _stack_ranges(entries: np.ndarray, th: np.ndarray, tol: float) -> list[Numer
             gap = float(gaps[row])
             row += 1
         else:
-            outer = ConvexRegion.from_support(lams[b], grid)
+            outer = ConvexRegion.from_support(lams[b])
             inner = ConvexRegion.from_points(attained[b], grid)
             gap = float(hausdorff(inner, outer))
             outer = ConvexRegion(outer.vertices * s, outer.support * s)

@@ -20,10 +20,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .blockop import BlockOperatorSpec, _attained_vertices, _remember
-from .convex2d import DEFAULT_GRID, ConvexRegion, extreme_points, hausdorff
+from .convex2d import DEFAULT_GRID, ConvexRegion, _diameter_pair, extreme_points, hausdorff
 from .errors import DegenerateGeometry, ScanExhausted, ValidationError
 from .essrange import EssentialRangeResult
-from .linalg import DEFAULT_EIG_TOL
 
 DEFAULT_REGROUP_EPS = 1e-2
 DEFAULT_DEPTH = 64
@@ -32,6 +31,9 @@ DEFAULT_SCAN_CAP = 10**6
 # _FIRST_CHUNK up to _SCAN_CHUNK, so that an early hit builds few values.
 _FIRST_CHUNK = 16
 _SCAN_CHUNK = 4096
+# A translation must leave the extreme points at least this far apart in
+# angle, in radians.
+_ANGULAR_TOL = 1e-7
 
 
 # -- translation choice -------------------------------------------------
@@ -62,14 +64,14 @@ def _angle_margin(points: np.ndarray, scale: float) -> float | None:
     return float(gaps.min())
 
 
-def choose_translation(region: ConvexRegion, angular_tol: float = 1e-7) -> TranslationChoice:
+def choose_translation(region: ConvexRegion) -> TranslationChoice:
     """Pick a translation putting 0 inside the region, away from extremes.
 
     Singletons translate onto themselves (or off the origin); otherwise the
     midpoint of a diameter-realising pair of extreme points is used, nudged
     along that diameter if it lands on the origin or too close to an
     extreme point.  Raises DegenerateGeometry when no candidate certifies
-    an angular margin above ``angular_tol``.
+    an angular margin above ``_ANGULAR_TOL``.
     """
     ext = extreme_points(region).points
     diam = region.diameter
@@ -78,8 +80,7 @@ def choose_translation(region: ConvexRegion, angular_tol: float = 1e-7) -> Trans
             return TranslationChoice(0.0, "identity", 2.0 * np.pi)
         return TranslationChoice(-1.0, "origin_singleton", 2.0 * np.pi)
 
-    d = np.abs(ext[:, None] - ext[None, :])
-    i, j = np.unravel_index(np.argmax(d), d.shape)
+    i, j = _diameter_pair(ext)
     w1, w2 = complex(ext[i]), complex(ext[j])
     if (w2.real, w2.imag) < (w1.real, w1.imag):
         w1, w2 = w2, w1
@@ -94,10 +95,10 @@ def choose_translation(region: ConvexRegion, angular_tol: float = 1e-7) -> Trans
         if np.min(np.abs(shifted)) <= 1e-9 * scale:
             continue  # origin would sit on an extreme point
         margin = _angle_margin(shifted, scale)
-        if margin is not None and margin > angular_tol:
+        if margin is not None and margin > _ANGULAR_TOL:
             return TranslationChoice(z, "diameter_midpoint", margin)
     raise DegenerateGeometry(
-        f"no translation candidate certified an angle margin above {angular_tol}"
+        f"no translation candidate certified an angle margin above {_ANGULAR_TOL}"
     )
 
 
@@ -186,7 +187,7 @@ def _bucket_targets(ext: np.ndarray, m: int) -> np.ndarray:
 
 def _scan_window(spec: BlockOperatorSpec, points: np.ndarray, level: np.ndarray,
                  target: int, rows: dict[bytes, np.ndarray], threshold: float,
-                 start: int, cap: int, grid: int, tol: float):
+                 start: int, cap: int, grid: int):
     """First block index n >= start whose range passes within ``threshold``
     of ``points[target]``, or None after examining ``cap`` blocks.
 
@@ -226,7 +227,7 @@ def _scan_window(spec: BlockOperatorSpec, points: np.ndarray, level: np.ndarray,
                 row = _remember(rows, key, np.full(points.size, np.nan))
             if np.isnan(row[target]):
                 new = level[np.isnan(row[level])]
-                row[new] = spec.range_of(blk, grid, tol).inner.distance(points[new])
+                row[new] = spec.range_of(blk, grid).inner.distance(points[new])
             d = float(row[target])
             if d < threshold:
                 return n, d
@@ -242,7 +243,6 @@ def regroup(
     depth: int = DEFAULT_DEPTH,
     scan_cap: int = DEFAULT_SCAN_CAP,
     grid: int = DEFAULT_GRID,
-    tol: float = DEFAULT_EIG_TOL,
     z: complex = 0j,
 ) -> Decomposition:
     """Build the group boundaries of the hull-free decomposition of T - z.
@@ -282,7 +282,7 @@ def regroup(
         level = np.unique(targets)
         for j, target in enumerate(targets.tolist()):
             hit = _scan_window(spec, points, level, target, rows, threshold, cursor + 1,
-                               scan_cap, grid, tol)
+                               scan_cap, grid)
             if hit is None:
                 raise ScanExhausted(m, j, complex(ext[target]), scan_cap)
             cursor, dist = hit
@@ -296,15 +296,15 @@ def regroup(
 
 
 def _group_parts(spec: BlockOperatorSpec, decomp: Decomposition, m: int):
-    """The blocks of group ``m`` that are taken whole, and on a scalar tail
-    the values of the rest (None when there are none)."""
+    """The indices of the blocks of group ``m`` that are taken whole, and on
+    a scalar tail the values of the rest (None when there are none)."""
     lo, hi = decomp.group_range(m)
     last = min(hi, spec.prefix_len) if spec.tail_is_scalar else hi
-    blocks = map(spec.cached_block, range(lo, last + 1))
+    indices = range(lo, last + 1)
     if last == hi:
-        return blocks, None
+        return indices, None
     start = max(lo, last + 1)
-    return blocks, spec.window_values(start, hi - start + 1)
+    return indices, spec.window_values(start, hi - start + 1)
 
 
 def group_region(
@@ -312,13 +312,12 @@ def group_region(
     decomp: Decomposition,
     m: int,
     grid: int = DEFAULT_GRID,
-    tol: float = DEFAULT_EIG_TOL,
 ) -> ConvexRegion:
     """Numerical range of group ``m`` viewed as one finite block diagonal:
     the hull of its blocks' ranges, each distinct block's inner polygon
     taken once, and a scalar tail's values."""
-    blocks, values = _group_parts(spec, decomp, m)
-    pts, _ = _attained_vertices(spec, blocks, grid, tol)
+    indices, values = _group_parts(spec, decomp, m)
+    pts, _ = _attained_vertices(spec, map(spec.cached_block, indices), grid)
     if values is not None:
         pts.append(values)
     return ConvexRegion.from_points(np.concatenate(pts), grid)
@@ -326,9 +325,10 @@ def group_region(
 
 def _group_points_key(spec: BlockOperatorSpec, decomp: Decomposition, m: int):
     """What ``group_region`` hulls for group ``m``, up to order and repeats:
-    its distinct blocks and distinct tail values, all by their bytes."""
-    blocks, values = _group_parts(spec, decomp, m)
-    distinct = frozenset(blk.entries.tobytes() for blk in blocks)
+    its distinct blocks, by the first index that has each, and the bytes of
+    its distinct tail values."""
+    indices, values = _group_parts(spec, decomp, m)
+    distinct = frozenset(map(spec._first_index, indices))
     if values is None:
         return distinct, b""
     return distinct, np.unique(values.view(np.dtype((np.void, values.itemsize)))).tobytes()
@@ -339,7 +339,6 @@ def late_group_regions(
     decomp: Decomposition,
     from_level: int,
     grid: int = DEFAULT_GRID,
-    tol: float = DEFAULT_EIG_TOL,
 ) -> list[ConvexRegion]:
     """``group_region`` of groups ``from_level`` to the last, called once per
     distinct set of points: groups with the same distinct blocks (and tail
@@ -352,7 +351,7 @@ def late_group_regions(
     for m in range(from_level, decomp.group_count + 1):
         key = _group_points_key(spec, decomp, m)
         if key not in regions:
-            regions[key] = group_region(spec, decomp, m, grid, tol)
+            regions[key] = group_region(spec, decomp, m, grid)
         out.append(regions[key])
     return out
 
@@ -360,13 +359,13 @@ def late_group_regions(
 def verify_conv_free(
     spec: BlockOperatorSpec,
     decomp: Decomposition,
-    we,
+    we: EssentialRangeResult,
     from_level: int | None = None,
     grid: int = DEFAULT_GRID,
-    tol: float = DEFAULT_EIG_TOL,
     groups: list[ConvexRegion] | None = None,
 ) -> float:
-    """Worst Hausdorff distance between late group ranges and the target.
+    """Worst Hausdorff distance between late group ranges and the
+    essential range ``we.region``.
 
     Both are convex polygons, so ``hausdorff`` gives each distance exactly,
     once per distinct region object.  ``from_level`` defaults to half the
@@ -374,14 +373,13 @@ def verify_conv_free(
     ``from_level`` to the last, as ``late_group_regions`` builds them, so
     that a caller that also draws them hulls each once.
     """
-    region = we.region if isinstance(we, EssentialRangeResult) else we
     g = decomp.group_count
     k0 = from_level if from_level is not None else max(1, g // 2)
     if not 1 <= k0 <= g:
         raise ValueError(f"from_level {k0} out of range 1..{g}")
     if groups is None:
-        groups = late_group_regions(spec, decomp, k0, grid, tol)
+        groups = late_group_regions(spec, decomp, k0, grid)
     elif len(groups) != g - k0 + 1:
         raise ValueError(f"expected {g - k0 + 1} group ranges, got {len(groups)}")
     distinct = {id(r): r for r in groups}.values()
-    return max(hausdorff(region, r) for r in distinct)
+    return max(hausdorff(we.region, r) for r in distinct)

@@ -10,7 +10,6 @@ from blockrange import (
     ComplexMatrix,
     HorizonTooSmall,
     NoConvergence,
-    NonConvergence,
     PointCloud,
     ValidationError,
     VanishingTail,
@@ -26,7 +25,6 @@ from blockrange.blockop import _RANGE_MEMO_CAP, _circle_hausdorff
 from helpers import (
     DIAG23,
     NILPOTENT,
-    constant_spec,
     dense_spec,
     mat,
     scalar_periodic_spec,
@@ -281,13 +279,12 @@ class TestRangeMemo:
     """Block ranges are memoised on the spec; numerical_range itself is pure."""
 
     GRID = 64
-    TOL = 1e-10
 
     def test_period_shares_the_result_object(self):
         spec = BlockOperatorSpec((DIAG23,), VanishingTail((NILPOTENT, DIAG23)))
         for n in (2, 3, 6):
-            first = spec.range_of(spec.block(n), self.GRID, self.TOL)
-            assert spec.range_of(spec.block(n + 2), self.GRID, self.TOL) is first
+            first = spec.range_of(spec.block(n), self.GRID)
+            assert spec.range_of(spec.block(n + 2), self.GRID) is first
 
     def test_new_and_translated_specs_start_empty(self):
         spec = two_matrix_spec()
@@ -296,18 +293,12 @@ class TestRangeMemo:
         assert translate_spec(spec, 1.0)._ranges == {}
         assert two_matrix_spec()._ranges == {}
 
-    def test_tolerance_is_part_of_the_key(self):
-        spec = constant_spec(mat([[0.3, 1.0], [-0.7j, 2.0]]))
-        spec.range_of(spec.block(1), self.GRID, self.TOL)
-        with pytest.raises(NonConvergence):
-            spec.range_of(spec.block(1), self.GRID, 1e-30)
-
     def test_memo_stays_within_its_cap(self):
         # every block of a decaying non-scalar tail is distinct, and three
         # requests of 256 blocks ask for more ranges than the memo holds
         spec = vanishing_spec([NILPOTENT], c=0.5, p=1.0, seed=3)
         for start in (1, 257, 513):
-            spec.ranges_of(map(spec.cached_block, range(start, start + 256)), 8, self.TOL)
+            spec.ranges_of(map(spec.cached_block, range(start, start + 256)), 8)
             assert len(spec._ranges) <= _RANGE_MEMO_CAP
         assert len(spec._ranges) == _RANGE_MEMO_CAP
 
@@ -366,9 +357,9 @@ class TestRangeMemo:
         solved = []
         solve = blockrange.numrange.max_eigenpairs_batch
 
-        def counting(mats, tol):
+        def counting(mats):
             solved.append(len(mats))
-            return solve(mats, tol)
+            return solve(mats)
 
         monkeypatch.setattr(blockrange.numrange, "max_eigenpairs_batch", counting)
         upper = [[0.0, 1.0, 0.5], [0.0, 0.5j, 1.0], [0.0, 0.0, -0.5]]
@@ -376,11 +367,11 @@ class TestRangeMemo:
         limsup_ranges(spec, grid=8)
         assert solved == [4]  # one block, half of the 8 directions
         solved.clear()
-        spec.ranges_of(map(spec.cached_block, range(1, 257)), 8, self.TOL)
+        spec.ranges_of(map(spec.cached_block, range(1, 257)), 8)
         # blocks 1, 4, ..., 256 are the 3x3 ones
         assert solved == [4 * 86]
         solved.clear()
-        spec.ranges_of(map(spec.cached_block, range(129, 385)), 8, self.TOL)
+        spec.ranges_of(map(spec.cached_block, range(129, 385)), 8)
         # blocks 129 .. 384 overlap the first window up to 256
         assert solved == [4 * len(range(259, 385, 3))]
 

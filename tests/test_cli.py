@@ -36,6 +36,8 @@ from helpers import (
 
 NILPOTENT_SPEC = {"tail": {"kind": "periodic", "cycle": [[[[0, 0], [1, 0]], [[0, 0], [0, 0]]]]}}
 TWO_MATRIX = two_matrix_spec()
+# the subcommands that take --cert
+CERTIFIED = ("essential", "decompose", "verify")
 
 
 def write_spec(tmp_path, spec_or_doc, name="op.json"):
@@ -347,18 +349,50 @@ def test_periodic_document_is_a_vanishing_tail_without_decay(tmp_path, capsys, c
     prefix = [[[[3, 1]]]]
     docs = {"periodic": {"kind": "periodic", "cycle": blocks},
             "vanishing": {"kind": "vanishing", "limits": blocks}}
-    extra = {"decompose": ["--groups", "6"], "verify": ["--groups", "6"], "range": ["--block", "4"]}
+    extra = {"essential": ["--eps", "0.5"], "decompose": ["--eps", "0.5", "--groups", "6"],
+             "verify": ["--eps", "0.5", "--groups", "6"], "range": ["--block", "4"]}
+    writes = {"range": ("csv", "svg"), "essential": ("csv", "svg", "cert"),
+              "decompose": ("csv", "svg", "cert"), "verify": ("cert",)}
     outs = []
     for name, tail in docs.items():
         path = write_spec(tmp_path, {"prefix": prefix, "tail": tail, "shift": [0.25, -0.5]},
                           f"{name}.json")
-        arts = {k: tmp_path / f"{name}.{k}" for k in ("csv", "svg", "cert")}
-        argv = [command, path, "--angles", "90", "--eps", "0.5", *extra.get(command, [])]
+        arts = {k: tmp_path / f"{name}.{k}" for k in writes[command]}
+        argv = [command, path, "--angles", "90", *extra[command]]
         argv += [arg for k, p in arts.items() for arg in (f"--{k}", str(p))]
         assert main(argv) == 0
-        outs.append((capsys.readouterr().out, {k: p.read_bytes() for k, p in arts.items() if p.exists()}))
+        outs.append((capsys.readouterr().out, {k: p.read_bytes() for k, p in arts.items()}))
     assert outs[0] == outs[1]
-    assert outs[0][1]
+    assert all(outs[0][1].values())
+
+
+# Flags that each subcommand used to accept and ignore, and an artifact
+# that it does write, which must not appear when the command line is refused.
+@pytest.mark.parametrize(
+    "command, flag, value, artifact",
+    [
+        ("range", "--cert", "ignored.json", "--csv"),
+        ("range", "--eps", "0.5", "--csv"),
+        ("oracle", "--angles", "90", "--csv"),
+        ("oracle", "--cert", "ignored.json", "--csv"),
+        ("verify", "--svg", "ignored.svg", "--cert"),
+        ("decompose", "--seed", "3", "--csv"),
+        ("essential", "--seed", "3", "--csv"),
+    ],
+)
+def test_unread_flags_are_usage_errors(tmp_path, monkeypatch, capsys, command, flag, value,
+                                      artifact):
+    """A flag that a subcommand does not read exits 2 with an ``error:``
+    line, before any work: no traceback, and no artifact written."""
+    monkeypatch.chdir(tmp_path)
+    write_spec(tmp_path, TWO_MATRIX)
+    with pytest.raises(SystemExit) as exc:
+        main([command, "op.json", flag, value, artifact, "written"])
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert "error:" in err and flag in err
+    assert "Traceback" not in err
+    assert sorted(os.listdir(tmp_path)) == ["op.json"]
 
 
 class TestExitCodes:
@@ -421,10 +455,10 @@ def test_bad_knobs_exit_cleanly(tmp_path, doc, args, code):
     line and no certificate; run as a fresh process, as a user sees it."""
     path = write_spec(tmp_path, doc)
     cert = tmp_path / "cert.json"
+    certify = ["--cert", str(cert)] if args[0] in CERTIFIED else []
     src = Path(blockrange.__file__).resolve().parents[1]
     proc = subprocess.run(
-        [sys.executable, "-m", "blockrange.cli", args[0], path, *args[1:],
-         "--cert", str(cert)],
+        [sys.executable, "-m", "blockrange.cli", args[0], path, *args[1:], *certify],
         capture_output=True, text=True, env={**os.environ, "PYTHONPATH": str(src)}, timeout=120,
     )
     assert proc.returncode == code, proc.stderr
@@ -486,29 +520,34 @@ def _documents(draw):
 # 16, and a flag not drawn takes a cheap value rather than its default (the
 # default eps and group count cost seconds per run), so that every example
 # runs in a fraction of a second.
-_COMMON = {
+_VALUES = {
     "--angles": ["3", "8", "16", "0", "-1", "nan", "inf"],
     "--eps": ["0.5", "0.05", "0", "-1", "nan", "inf", "1e300"],
     "--horizon": ["1", "3", "300", "0", "-1", "nan"],
     "--k-cap": ["8", "1024", "0", "-1", "inf", HUGE],
     "--seed": ["0", "7", "-1", "nan", HUGE],
+    "--groups": ["1", "3", "0", "-1", "nan"],
+    "--scan-cap": ["1", "100", "0", "-1", "nan", HUGE],
+    "--block": ["1", "2", "5", "0", "-1", "nan"],
+    "--identity": [None],
+    "--samples": ["1", "50", "0", "-1", "nan"],
+    "--tail-start": ["1", "4", "100", "0", "-1", "nan"],
 }
-_GROUPS = {"--groups": ["1", "3", "0", "-1", "nan"],
-           "--scan-cap": ["1", "100", "0", "-1", "nan", HUGE]}
+# The value flags that each subcommand reads.
+_LIMSUP = ("--angles", "--eps", "--horizon", "--k-cap")
 _COMMANDS = {
-    "range": {"--block": ["1", "2", "5", "0", "-1", "nan"]},
-    "essential": {},
-    "decompose": _GROUPS,
-    "verify": {**_GROUPS, "--identity": [None]},
-    "oracle": {"--samples": ["1", "50", "0", "-1", "nan"],
-               "--tail-start": ["1", "4", "100", "0", "-1", "nan"]},
+    "range": ("--angles", "--block"),
+    "essential": _LIMSUP,
+    "decompose": (*_LIMSUP, "--groups", "--scan-cap"),
+    "verify": (*_LIMSUP, "--groups", "--scan-cap", "--identity"),
+    "oracle": ("--seed", "--samples", "--tail-start"),
 }
 
 
 @st.composite
 def _command_lines(draw):
     command = draw(st.sampled_from(sorted(_COMMANDS)))
-    flags = {**_COMMON, **_COMMANDS[command]}
+    flags = {flag: _VALUES[flag] for flag in _COMMANDS[command]}
     argv = [command]
     for flag in draw(st.lists(st.sampled_from(sorted(flags)), max_size=4, unique=True)):
         value = draw(st.sampled_from(flags[flag]))
@@ -527,10 +566,11 @@ def test_fuzzed_documents_and_flags_exit_cleanly(doc, argv):
     with tempfile.TemporaryDirectory() as tmp:
         path = Path(tmp) / "op.json"
         path.write_text(json.dumps(doc))
+        certify = ["--cert", str(Path(tmp) / "c.json")] if argv[0] in CERTIFIED else []
         out = io.StringIO()
         with contextlib.redirect_stdout(out), contextlib.redirect_stderr(out):
             try:
-                code = main([argv[0], str(path), *argv[1:], "--cert", str(Path(tmp) / "c.json")])
+                code = main([argv[0], str(path), *argv[1:], *certify])
             except SystemExit as exc:  # argparse rejects the value
                 code = exc.code
     assert code in (0, 2, 3, 4), out.getvalue()

@@ -19,7 +19,7 @@ from blockrange import (
     nested_conv_exchange,
     numerical_range,
 )
-from blockrange.convex2d import _hull_vertices, _ordered_hull
+from blockrange.convex2d import _diameter_pair, _hull_vertices, _ordered_hull
 
 from helpers import (
     brute_diameter,
@@ -293,6 +293,21 @@ class TestCanonical:
         circle = ConvexRegion.from_points(np.exp(2j * np.pi * np.arange(4096) / 4096))
         assert circle.vertices.size == 4096
         assert circle.diameter == pytest.approx(2.0, abs=1e-15)
+
+    @given(st.sampled_from(["cloud", "ellipse", "regular"]), st.integers(1, 300),
+           st.integers(0, 2**32 - 1), st.integers(-12, 12))
+    @settings(max_examples=60, deadline=None)
+    def test_diameter_pair_reaches_the_pairwise_maximum(self, kind, n, seed, e):
+        # the antipodal walk against the argmax over all vertex pairs; a
+        # regular polygon has many pairs at the maximum, any one will do
+        rng = np.random.default_rng(seed)
+        pts = {"cloud": lambda: rng.standard_normal(n) + 1j * rng.standard_normal(n),
+               "ellipse": lambda: ellipse_polygon(rng, max(n, 3)),
+               "regular": lambda: np.exp(2j * np.pi * np.arange(n) / n)}[kind]()
+        v = ConvexRegion.from_points(10.0**e * pts).vertices
+        i, j = _diameter_pair(v)
+        brute = np.abs(v[:, None] - v[None, :]).max()
+        assert abs(v[i] - v[j]) >= brute * (1 - 1e-15)
 
     def test_from_support_singleton(self):
         z = 0.7 - 0.2j

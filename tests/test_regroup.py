@@ -86,8 +86,11 @@ class TestChooseTranslation:
         assert c.angular_margin > 0.1
 
     def test_unsatisfiable_margin_raises(self):
+        # every candidate leaves the apex within 2e-8 of an opposite corner's
+        # angle, below the 1e-7 margin that a translation must certify
+        flat = ConvexRegion.from_points(np.array([-1, 1, 1e-8j]))
         with pytest.raises(DegenerateGeometry):
-            choose_translation(segment(-1, 1), angular_tol=10.0)
+            choose_translation(flat)
 
 
 class TestDecomposition:
