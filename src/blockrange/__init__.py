@@ -24,7 +24,6 @@ from .errors import (
     DegenerateGeometry,
     EmptyInput,
     EmptyIntersection,
-    HorizonTooSmall,
     InconsistentResult,
     NoConvergence,
     NonConvergence,
@@ -72,7 +71,6 @@ __all__ = [
     "EmptyIntersection",
     "EssentialRangeResult",
     "GroupSelection",
-    "HorizonTooSmall",
     "InconsistentResult",
     "LimsupResult",
     "NoConvergence",

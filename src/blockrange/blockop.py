@@ -6,8 +6,11 @@ operator is B_n - shift * I.  The tail either cycles through limit blocks
 L_k under a perturbation that decays to zero (``VanishingTail``; with no
 decay it is a periodic tail), or is a named builtin family
 (``BuiltinTail``).  The limsup of a limit-block tail is exactly the union
-of the W(L_k); a builtin tail's is sampled by windows whose stabilised
-union is a point cloud with explicit resolution bookkeeping.
+of the W(L_k), and no window of it is ever built.  Tail windows belong to
+the builtin tail alone: its 1x1 blocks are read as a vector of values
+(``BlockOperatorSpec.window_values``, ``tail_union``), and its limsup is
+sampled by windows whose stabilised union is a point cloud with explicit
+resolution bookkeeping.
 
 Blocks and block ranges are memoised per operator, in FIFO-bounded memos
 that live on the spec: ``BlockOperatorSpec.cached_block`` keeps the blocks
@@ -38,13 +41,13 @@ from typing import ClassVar, Union
 import numpy as np
 
 from .convex2d import DEFAULT_GRID, PointCloud
-from .errors import HorizonTooSmall, NoConvergence, ValidationError
+from .errors import NoConvergence, ValidationError
 from .linalg import ComplexMatrix
 from .numrange import NumericalRangeResult, numerical_ranges
 
 DEFAULT_EPS = 1e-3
 DEFAULT_K_CAP = 2**20
-# A regroup scan of a non-scalar tail may visit up to scan_cap distinct
+# A regroup scan of a limit-block tail may visit up to scan_cap distinct
 # blocks, at about 28 KB per grid-360 result, so the memos (and the scan's
 # distance rows) are bounded.
 _RANGE_MEMO_CAP = 512
@@ -158,10 +161,6 @@ class VanishingTail:
     def norm_bound(self) -> float:
         return max(m.norm_bound for m in self.limits) + self.decay(1)
 
-    @property
-    def scalar(self) -> bool:
-        return all(m.dim == 1 for m in self.limits)
-
 
 BUILTIN_TAILS = ("dense_angle_diagonal",)
 
@@ -206,10 +205,6 @@ class BuiltinTail:
     @property
     def norm_bound(self) -> float:
         return 1.0
-
-    @property
-    def scalar(self) -> bool:
-        return True
 
 
 Tail = Union[VanishingTail, BuiltinTail]
@@ -309,42 +304,28 @@ class BlockOperatorSpec:
             return _shifted(ComplexMatrix(t.values(pos, 1).reshape(1, 1)), self.shift)
         return t.block(pos, n, self.shift)
 
-    @property
-    def tail_is_scalar(self) -> bool:
-        return self.tail.scalar
-
     def window_values(self, start: int, count: int) -> np.ndarray:
-        """Diagonal entries of blocks start .. start + count - 1.
+        """Diagonal entries of the builtin tail's blocks start .. start +
+        count - 1, shift applied: ``block(n)`` for each n, as one vector.
 
-        Requires every block in the window to be 1x1; the fast vectorised
-        path behind scans and unions of scalar specs.
+        A ``start`` within the prefix raises ValidationError, and so does a
+        limit-block tail, whose blocks are built one by one.
         """
-        ns = np.arange(start, start + count)
-        out = np.empty(count, dtype=np.complex128)
-        p = len(self.prefix)
-        pre = ns <= p
-        if pre.any():
-            vals = []
-            for n in ns[pre]:
-                m = self.prefix[n - 1]
-                if m.dim != 1:
-                    raise ValueError(f"block {n} is not scalar")
-                vals.append(m.entries[0, 0])
-            out[pre] = np.asarray(vals)
-        rest = ~pre
-        if rest.any():
-            if not self.tail.scalar:
-                raise ValueError("tail blocks are not scalar")
-            pos = ns[rest] - p - 1
-            t = self.tail
-            if isinstance(t, BuiltinTail):
-                out[rest] = t.values(int(pos[0]), int(pos.size))
-            else:
-                lims = np.asarray([m.entries[0, 0] for m in t.limits])
-                out[rest] = lims[pos % len(t.limits)]
-                if t.decay_scale > 0:
-                    out[rest] += [t.perturbation(int(n), 1)[0, 0] for n in ns[rest]]
-        return out - self.shift
+        return _builtin_values(self, start, count) - self.shift
+
+
+def _builtin_values(spec: BlockOperatorSpec, start: int, count: int) -> np.ndarray:
+    """The unshifted values of ``spec``'s builtin tail at blocks start ..
+    start + count - 1; the checks of ``window_values`` and ``tail_union``."""
+    p = len(spec.prefix)
+    if start <= p:
+        raise ValidationError(f"window start must lie past the {p} prefix blocks, got {start}")
+    t = spec.tail
+    if not isinstance(t, BuiltinTail):
+        raise ValidationError(
+            "tail windows sample builtin tails; a limit-block tail's limsup is its limit blocks"
+        )
+    return t.values(start - p - 1, count)
 
 
 def _attained_vertices(spec: BlockOperatorSpec, blocks, grid: int):
@@ -384,27 +365,16 @@ def _circle_hausdorff(a: PointCloud, b: PointCloud, centre: complex) -> float:
     return worst
 
 
-def tail_union(spec: BlockOperatorSpec, start: int, horizon: int | None = None) -> PointCloud:
+def tail_union(spec: BlockOperatorSpec, start: int) -> PointCloud:
     """Union of the block ranges W(B_n) of an operator with a builtin tail,
-    over the ``horizon`` tail blocks from ``start`` on: points of the unit
-    circle about -shift, with their angular covering radius as resolution.
+    over the ``max(1024, start)`` tail blocks from ``start`` on: points of
+    the unit circle about -shift, with their angular covering radius as
+    resolution.
 
     A ``start`` within the prefix raises ValidationError, and so does a
     limit-block tail, whose limsup is exactly its limit blocks' ranges.
     """
-    p = len(spec.prefix)
-    if start <= p:
-        raise ValidationError(f"window start must lie past the {p} prefix blocks, got {start}")
-    t = spec.tail
-    if not isinstance(t, BuiltinTail):
-        raise ValidationError(
-            "tail windows sample builtin tails; a limit-block tail's limsup is its limit blocks"
-        )
-    if horizon is None:
-        horizon = max(1024, start)
-    if horizon < 1:
-        raise HorizonTooSmall("window must contain at least one block")
-    vals = t.values(start - p - 1, horizon)
+    vals = _builtin_values(spec, start, max(1024, start))
     return PointCloud(vals - spec.shift, _circle_covering_radius(vals))
 
 
@@ -427,7 +397,6 @@ def limsup_ranges(
     eps: float = DEFAULT_EPS,
     k_cap: int = DEFAULT_K_CAP,
     grid: int = DEFAULT_GRID,
-    horizon: int | None = None,
 ) -> LimsupResult:
     """Closed limsup of the block range sequence, as a certified cloud.
 
@@ -450,7 +419,7 @@ def limsup_ranges(
         return LimsupResult(PointCloud(np.concatenate(pts), gap), k0, ((k0, 0.0),))
 
     start = k0
-    prev = tail_union(spec, start, horizon)
+    prev = tail_union(spec, start)
     cert: list[tuple[int, float]] = []
     while True:
         nxt_start = 2 * start
@@ -459,7 +428,7 @@ def limsup_ranges(
                 f"window start would exceed the cap {k_cap} before the unions "
                 f"stabilised to {eps}"
             )
-        nxt = tail_union(spec, nxt_start, horizon)
+        nxt = tail_union(spec, nxt_start)
         # The window must both agree with its successor and resolve the set
         # it samples: agreement alone can hold between two equally coarse
         # windows.

@@ -27,7 +27,6 @@ from .blockop import (
 from .errors import (
     BlockRangeError,
     DegenerateGeometry,
-    HorizonTooSmall,
     InconsistentResult,
     NoConvergence,
     NonConvergence,
@@ -200,9 +199,7 @@ def _load_spec(args) -> BlockOperatorSpec:
 
 
 def _compute_essential(spec: BlockOperatorSpec, args) -> EssentialRangeResult:
-    return essential_numerical_range(
-        spec, grid=args.angles, eps=args.eps, k_cap=args.k_cap, horizon=args.horizon
-    )
+    return essential_numerical_range(spec, grid=args.angles, eps=args.eps, k_cap=args.k_cap)
 
 
 def _cmd_range(args) -> int:
@@ -289,7 +286,6 @@ def _run_decomposition(spec: BlockOperatorSpec, args):
         eps=args.eps,
         depth=args.groups,
         scan_cap=args.scan_cap,
-        grid=args.angles,
         z=choice.z,
     )
     return ess, choice, decomp
@@ -303,7 +299,7 @@ def _cmd_decompose(args) -> int:
     # they are measured untranslated, and only the drawing moves by -z
     k0 = max(1, decomp.group_count // 2)
     groups = late_group_regions(spec, decomp, k0, args.angles)
-    gap = verify_conv_free(spec, decomp, ess, k0, args.angles, groups=groups)
+    gap = verify_conv_free(spec, decomp, ess, k0, groups=groups)
     print(f"translation z = {choice.z.real:.6g}{choice.z.imag:+.6g}i "
           f"({choice.reason}, angle margin {choice.angular_margin:.3e})")
     print(f"{decomp.group_count} groups, last boundary {decomp.boundaries[-1]}")
@@ -343,7 +339,7 @@ def _cmd_verify(args) -> int:
     else:
         ess, _, decomp = _run_decomposition(spec, args)
         mode = "regrouped"
-    gap = verify_conv_free(spec, decomp, ess, grid=args.angles)
+    gap = verify_conv_free(spec, decomp, ess)
     print(f"mode {mode}: conv-free gap {gap:.3e}, "
           f"crosscheck gap {ess.crosscheck_gap:.3e}")
     _write_cert(
@@ -381,8 +377,6 @@ def build_parser() -> argparse.ArgumentParser:
     limsup.add_argument("--eps", type=float, default=1e-3,
                         help="stabilisation / scan threshold, an absolute distance "
                         "in the operator's units, not scaled by its norm (default 1e-3)")
-    limsup.add_argument("--horizon", type=int, default=None,
-                        help="tail window length override")
     limsup.add_argument("--k-cap", type=int, default=2**20, dest="k_cap",
                         help="window start cap for tail doubling (default 2^20)")
     plots.add_argument("--csv", default=None, help="write CSV artifact here")
@@ -436,7 +430,7 @@ def main(argv=None) -> int:
     args = _parser().parse_args(argv)
     try:
         return args.func(args)
-    except (ParseError, ValidationError, HorizonTooSmall, DegenerateGeometry) as exc:
+    except (ParseError, ValidationError, DegenerateGeometry) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_VALIDATION
     except (NoConvergence, NonConvergence, ScanExhausted) as exc:

@@ -25,10 +25,6 @@ class EmptyIntersection(BlockRangeError):
     """Two regions, or a nested family of clouds, have no common point."""
 
 
-class HorizonTooSmall(BlockRangeError):
-    """The requested tail window cannot certify the needed resolution."""
-
-
 class NoConvergence(BlockRangeError):
     """Tail doubling hit the index cap before the clouds stabilised."""
 

@@ -40,7 +40,7 @@ from .blockop import (
     limsup_ranges,
 )
 from .convex2d import DEFAULT_GRID, ConvexRegion, PointCloud, grid_angles
-from .errors import HorizonTooSmall, InconsistentResult, NoConvergence
+from .errors import InconsistentResult, NoConvergence
 
 _GAP_FACTOR = 10.0
 
@@ -92,17 +92,6 @@ def _check_reach(tail: VanishingTail, eps: float, k_cap: int) -> None:
         )
 
 
-def _check_horizon(spec: BlockOperatorSpec, horizon: int | None) -> None:
-    """Raise HorizonTooSmall when a ``horizon`` override is shorter than the
-    prefix plus one round of limit blocks."""
-    need = spec.prefix_len + len(spec.tail.limits)
-    if horizon is not None and horizon < need:
-        raise HorizonTooSmall(
-            f"window of {horizon} blocks cannot cover the prefix and every limit block "
-            f"({need} blocks)"
-        )
-
-
 def _limit_gap(spec: BlockOperatorSpec, region: ConvexRegion, grid: int) -> float:
     """The support route of a limit-block tail: the largest grid-direction
     difference between the support of ``region`` and the largest outer
@@ -128,10 +117,9 @@ def essential_numerical_range(
     grid: int = DEFAULT_GRID,
     eps: float = DEFAULT_EPS,
     k_cap: int = DEFAULT_K_CAP,
-    horizon: int | None = None,
 ) -> EssentialRangeResult:
     """Essential numerical range of the operator described by ``spec``."""
-    lim = limsup_ranges(spec, eps, k_cap, grid, horizon)
+    lim = limsup_ranges(spec, eps, k_cap, grid)
     region = ConvexRegion.from_points(lim.cloud.points, grid)
 
     if isinstance(spec.tail, BuiltinTail):
@@ -141,7 +129,6 @@ def essential_numerical_range(
         gap = float(np.abs(region.support - h).max())
     else:
         _check_reach(spec.tail, eps, k_cap)
-        _check_horizon(spec, horizon)
         gap = _limit_gap(spec, region, grid)
 
     tolerance = lim.cloud.resolution + eps + 1e-9 * spec.norm_bound

@@ -87,7 +87,7 @@ def max_eigenpairs_batch(mats: np.ndarray, tol: float = DEFAULT_EIG_TOL):
     """
     h = np.asarray(mats, dtype=np.complex128)
     if h.ndim != 3 or h.shape[1] != h.shape[2]:
-        raise ValueError(f"expected a (m, n, n) batch, got shape {h.shape}")
+        raise ValidationError(f"expected a (m, n, n) batch, got shape {h.shape}")
     try:
         vals, vecs = np.linalg.eigh(h)
     except np.linalg.LinAlgError as exc:
@@ -113,7 +113,7 @@ def rayleigh(a: ComplexMatrix, x: np.ndarray) -> complex:
     """Rayleigh quotient <A x, x> for a unit vector ``x``."""
     vec = np.asarray(x, dtype=np.complex128).ravel()
     if vec.shape[0] != a.dim:
-        raise ValueError(f"vector length {vec.shape[0]} does not match dim {a.dim}")
+        raise ValidationError(f"vector length {vec.shape[0]} does not match dim {a.dim}")
     nrm = float(np.linalg.norm(vec))
     if abs(nrm - 1.0) > UNIT_TOL:
         raise NotUnit(f"vector norm {nrm} differs from 1 by more than {UNIT_TOL}")

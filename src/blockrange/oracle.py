@@ -49,28 +49,27 @@ def inner_approximate(
         raise ValidationError(f"seed must be non-negative, got {seed}")
     rng = np.random.default_rng(seed)
 
-    if spec.tail_is_scalar and start > spec.prefix_len:
-        vals = spec.window_values(start, window)
+    blocks = [spec.block(n) for n in range(start, start + window)]
+    if start > spec.prefix_len and all(blk.dim == 1 for blk in blocks):
+        vals = np.array([blk.entries[0, 0] for blk in blocks])
         kth = min(3, window - 1)
         idx = np.argpartition(rng.random((samples, window)), kth, axis=1)[:, :3]
         raw = rng.exponential(size=(samples, 3))
         wts = raw / raw.sum(axis=1, keepdims=True)
         pts = (wts * vals[idx]).sum(axis=1)
     else:
-        blocks = {n: spec.block(n) for n in range(start, start + window)}
-        out = np.empty(samples, dtype=np.complex128)
+        pts = np.empty(samples, dtype=np.complex128)
         for s in range(samples):
             offs = rng.choice(window, size=3, replace=False)
             raw = rng.exponential(size=3)
             wts = raw / raw.sum()
             val = 0j
             for wi, off in zip(wts, offs):
-                blk = blocks[start + int(off)]
+                blk = blocks[int(off)]
                 x = rng.standard_normal(blk.dim) + 1j * rng.standard_normal(blk.dim)
                 x = x / np.linalg.norm(x)
                 val += wi * rayleigh(blk, x)
-            out[s] = val
-        pts = out
+            pts[s] = val
 
     resolution = 1e-12 * spec.norm_bound
     if isinstance(spec.tail, VanishingTail):

@@ -19,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .blockop import BlockOperatorSpec, _attained_vertices, _remember
+from .blockop import BlockOperatorSpec, BuiltinTail, _attained_vertices, _remember
 from .convex2d import DEFAULT_GRID, ConvexRegion, _diameter_pair, extreme_points, hausdorff
 from .errors import DegenerateGeometry, ScanExhausted, ValidationError
 from .essrange import EssentialRangeResult
@@ -27,8 +27,9 @@ from .essrange import EssentialRangeResult
 DEFAULT_REGROUP_EPS = 1e-2
 DEFAULT_DEPTH = 64
 DEFAULT_SCAN_CAP = 10**6
-# A scan of a scalar tail fetches its values in chunks that double from
-# _FIRST_CHUNK up to _SCAN_CHUNK, so that an early hit builds few values.
+# A scan of the builtin tail reads its 1x1 blocks as values, in chunks that
+# double from _FIRST_CHUNK up to _SCAN_CHUNK, so that an early hit builds
+# few values; a limit-block tail is scanned block by block.
 _FIRST_CHUNK = 16
 _SCAN_CHUNK = 4096
 # A translation must leave the extreme points at least this far apart in
@@ -141,7 +142,7 @@ class Decomposition:
     def group_range(self, m: int) -> tuple[int, int]:
         """1-based inclusive block range of group ``m`` (1-based)."""
         if not 1 <= m <= len(self.boundaries):
-            raise ValueError(f"group index {m} out of range")
+            raise ValidationError(f"group index {m} out of range")
         lo = 1 if m == 1 else self.boundaries[m - 2] + 1
         return lo, self.boundaries[m - 1]
 
@@ -192,11 +193,12 @@ def _scan_window(spec: BlockOperatorSpec, points: np.ndarray, level: np.ndarray,
     of ``points[target]``, or None after examining ``cap`` blocks.
 
     Uses the attained (inner) polygon of each block range, so a hit
-    certifies a genuine numerical-range point near the target.  The scan
-    goes block by block, so no range past the hit is computed.  ``rows``
-    keeps one distance row over all of ``points`` per distinct block, keyed
-    by the block's entries, with NaN where the block has not met a point
-    yet.  A visit that needs one fills in the level's targets (the distinct
+    certifies a genuine numerical-range point near the target.  Past the
+    prefix, the builtin tail's 1x1 blocks are measured as values, a chunk
+    at a time; every other block is scanned one by one, so no range past
+    the hit is computed.  ``rows`` keeps one distance row over all of
+    ``points`` per distinct block, keyed by the block's entries, with NaN
+    where the block has not met a point yet.  A visit that needs one fills in the level's targets (the distinct
     indices ``level``) that the block has not met, in one distance call, so
     a block that recurs, as a periodic tail's do, meets each target once in
     the whole ``regroup`` call.
@@ -205,10 +207,10 @@ def _scan_window(spec: BlockOperatorSpec, points: np.ndarray, level: np.ndarray,
     n = start
     budget = cap
     p = spec.prefix_len
-    scalar_tail = spec.tail_is_scalar
+    builtin_tail = isinstance(spec.tail, BuiltinTail)
     chunk = _FIRST_CHUNK
     while budget > 0:
-        if n > p and scalar_tail:
+        if n > p and builtin_tail:
             cnt = min(budget, chunk)
             chunk = min(2 * chunk, _SCAN_CHUNK)
             vals = spec.window_values(n, cnt)
@@ -242,7 +244,6 @@ def regroup(
     eps: float = DEFAULT_REGROUP_EPS,
     depth: int = DEFAULT_DEPTH,
     scan_cap: int = DEFAULT_SCAN_CAP,
-    grid: int = DEFAULT_GRID,
     z: complex = 0j,
 ) -> Decomposition:
     """Build the group boundaries of the hull-free decomposition of T - z.
@@ -256,6 +257,7 @@ def regroup(
     measures them against the picks moved by +z, and the block ranges that
     the essential range memoised on ``spec`` serve again.  Distances are
     translation invariant, and the decomposition is that of T as well.
+    Block ranges are taken on the angle grid of ``we.region``.
     """
     if not (np.isfinite(eps) and eps > 0):
         raise ValidationError(f"eps must be finite and positive, got {eps}")
@@ -271,6 +273,7 @@ def regroup(
         )
     # the targets in the coordinates of ``spec``, whose blocks are scanned
     points = ext + z
+    grid = we.region.grid_size
     rows: dict[bytes, np.ndarray] = {}
     boundaries: list[int] = []
     levels: list[tuple[GroupSelection, ...]] = []
@@ -297,9 +300,9 @@ def regroup(
 
 def _group_parts(spec: BlockOperatorSpec, decomp: Decomposition, m: int):
     """The indices of the blocks of group ``m`` that are taken whole, and on
-    a scalar tail the values of the rest (None when there are none)."""
+    the builtin tail the values of the rest (None when there are none)."""
     lo, hi = decomp.group_range(m)
-    last = min(hi, spec.prefix_len) if spec.tail_is_scalar else hi
+    last = min(hi, spec.prefix_len) if isinstance(spec.tail, BuiltinTail) else hi
     indices = range(lo, last + 1)
     if last == hi:
         return indices, None
@@ -315,7 +318,7 @@ def group_region(
 ) -> ConvexRegion:
     """Numerical range of group ``m`` viewed as one finite block diagonal:
     the hull of its blocks' ranges, each distinct block's inner polygon
-    taken once, and a scalar tail's values."""
+    taken once, and the builtin tail's values."""
     indices, values = _group_parts(spec, decomp, m)
     pts, _ = _attained_vertices(spec, map(spec.cached_block, indices), grid)
     if values is not None:
@@ -361,7 +364,6 @@ def verify_conv_free(
     decomp: Decomposition,
     we: EssentialRangeResult,
     from_level: int | None = None,
-    grid: int = DEFAULT_GRID,
     groups: list[ConvexRegion] | None = None,
 ) -> float:
     """Worst Hausdorff distance between late group ranges and the
@@ -371,15 +373,16 @@ def verify_conv_free(
     once per distinct region object.  ``from_level`` defaults to half the
     group count.  ``groups`` may pass in the ranges of groups
     ``from_level`` to the last, as ``late_group_regions`` builds them, so
-    that a caller that also draws them hulls each once.
+    that a caller that also draws them hulls each once; otherwise they are
+    hulled on the angle grid of ``we.region``.
     """
     g = decomp.group_count
     k0 = from_level if from_level is not None else max(1, g // 2)
     if not 1 <= k0 <= g:
-        raise ValueError(f"from_level {k0} out of range 1..{g}")
+        raise ValidationError(f"from_level {k0} out of range 1..{g}")
     if groups is None:
-        groups = late_group_regions(spec, decomp, k0, grid)
+        groups = late_group_regions(spec, decomp, k0, we.region.grid_size)
     elif len(groups) != g - k0 + 1:
-        raise ValueError(f"expected {g - k0 + 1} group ranges, got {len(groups)}")
+        raise ValidationError(f"expected {g - k0 + 1} group ranges, got {len(groups)}")
     distinct = {id(r): r for r in groups}.values()
     return max(hausdorff(we.region, r) for r in distinct)

@@ -6,7 +6,11 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
+import pytest
+
 import blockrange
+from blockrange.linalg import max_eigenpairs_batch
 
 from helpers import dense_spec, mat, spec_to_dict, two_matrix_spec, vanishing_spec
 
@@ -16,6 +20,32 @@ def test_all_is_sorted_unique_and_resolves():
     assert names == sorted(set(names))
     missing = [n for n in names if not hasattr(blockrange, n)]
     assert not missing
+
+
+def _four_groups():
+    """A spec, its four-group identity decomposition and its essential range."""
+    spec = two_matrix_spec()
+    we = blockrange.essential_numerical_range(spec, grid=16)
+    return spec, blockrange.identity_decomposition(4), we
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda: blockrange.Decomposition((1, 2)).group_range(3),
+        lambda: blockrange.verify_conv_free(*_four_groups(), from_level=0),
+        lambda: blockrange.verify_conv_free(*_four_groups(), from_level=5),
+        lambda: blockrange.verify_conv_free(*_four_groups(), from_level=3, groups=[]),
+        lambda: blockrange.rayleigh(mat([[1, 0], [0, 1]]), np.array([1.0])),
+        lambda: max_eigenpairs_batch(np.eye(2)),
+        lambda: max_eigenpairs_batch(np.zeros((1, 2, 3))),
+    ],
+    ids=["group_index", "from_level_low", "from_level_high", "groups_length",
+         "rayleigh_length", "batch_rank", "batch_not_square"],
+)
+def test_argument_checks_raise_validation_error(call):
+    with pytest.raises(blockrange.ValidationError):
+        call()
 
 
 def _python(code: str) -> subprocess.CompletedProcess:

@@ -8,7 +8,6 @@ from blockrange import (
     BlockOperatorSpec,
     BuiltinTail,
     ComplexMatrix,
-    HorizonTooSmall,
     NoConvergence,
     PointCloud,
     ValidationError,
@@ -64,22 +63,27 @@ class TestSpecBasics:
         with pytest.raises(ValidationError):
             VanishingTail(())
 
-    def test_scalar_detection(self):
-        assert scalar_periodic_spec([1.0, -1.0]).tail_is_scalar
-        assert not two_matrix_spec().tail_is_scalar
-        assert dense_spec().tail_is_scalar
-
     def test_window_values_match_blocks(self):
-        spec = scalar_periodic_spec([1.0, 2.0, 3.0], prefix=[9.0])
-        vals = spec.window_values(1, 8)
-        want = [complex(spec.block(n).entries[0, 0]) for n in range(1, 9)]
-        assert_allclose(vals, want)
+        spec = replace(dense_spec(prefix=[mat([[9.0]]), mat([[2j]])]), shift=0.3 - 0.7j)
+        vals = spec.window_values(3, 40)
+        want = np.array([spec.block(n).entries[0, 0] for n in range(3, 43)])
+        assert vals.tobytes() == want.tobytes()
 
-    def test_window_values_vanishing_match_blocks(self):
-        spec = vanishing_spec([[[0.5]]], c=2.0, p=0.7, seed=3)
-        vals = spec.window_values(4, 6)
-        want = [complex(spec.block(n).entries[0, 0]) for n in range(4, 10)]
-        assert_allclose(vals, want)
+    @pytest.mark.parametrize(
+        "spec, start",
+        [
+            (scalar_periodic_spec([1.0, 2.0]), 1),
+            (vanishing_spec([[[0.5]]], c=2.0, p=0.7, seed=3), 4),
+            (dense_spec(prefix=[mat([[9.0]])]), 1),
+            (dense_spec(), 0),
+        ],
+        ids=["periodic", "vanishing", "dense_in_prefix", "dense_at_zero"],
+    )
+    def test_window_values_sample_only_the_builtin_tail(self, spec, start):
+        # a limit-block tail is built block by block, and a window holds
+        # tail blocks only
+        with pytest.raises(ValidationError):
+            spec.window_values(start, 4)
 
 
 class TestVanishingTail:
@@ -190,12 +194,8 @@ class TestDenseAngles:
 
 
 class TestTailUnion:
-    def test_horizon_too_small_raises(self):
-        with pytest.raises(HorizonTooSmall):
-            tail_union(dense_spec(), 1, horizon=0)
-
     def test_dense_window_approximates_circle(self):
-        cloud = tail_union(dense_spec(), 1, horizon=10**4)
+        cloud = tail_union(dense_spec(), 2**13)
         th = np.linspace(0, 2 * np.pi, 4000, endpoint=False)
         circle = PointCloud(np.exp(1j * th))
         assert hausdorff(cloud, circle) < 0.05
@@ -205,8 +205,8 @@ class TestTailUnion:
         # a window holds tail blocks only
         spec = dense_spec(prefix=[mat([[5.0]]), mat([[-2j]])])
         with pytest.raises(ValidationError):
-            tail_union(spec, start, horizon=16)
-        assert 5 + 0j not in tail_union(spec, 3, horizon=16).points.tolist()
+            tail_union(spec, start)
+        assert 5 + 0j not in tail_union(spec, 3).points.tolist()
 
     @pytest.mark.parametrize("seed", range(6))
     def test_circle_hausdorff_against_brute_force(self, seed):

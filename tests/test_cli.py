@@ -286,9 +286,9 @@ class TestDecomposeVerify:
             calls.append((spec, decomp, m, args))
             return original(spec, decomp, m, *args)
 
-        def measured(spec, decomp, we, from_level, grid, groups):
-            seen.append((from_level, grid, groups))
-            return verify(spec, decomp, we, from_level, grid, groups=groups)
+        def measured(spec, decomp, we, from_level, groups):
+            seen.append((from_level, we.region.grid_size, groups))
+            return verify(spec, decomp, we, from_level, groups=groups)
 
         def polygon(scene, vertices, style="region"):
             drawn.append((style, np.array(vertices)))
@@ -366,8 +366,9 @@ def test_periodic_document_is_a_vanishing_tail_without_decay(tmp_path, capsys, c
     assert all(outs[0][1].values())
 
 
-# Flags that each subcommand used to accept and ignore, and an artifact
-# that it does write, which must not appear when the command line is refused.
+# Flags that a subcommand does not read (--horizon no subcommand reads),
+# and an artifact that it does write, which must not appear when the
+# command line is refused.
 @pytest.mark.parametrize(
     "command, flag, value, artifact",
     [
@@ -378,6 +379,9 @@ def test_periodic_document_is_a_vanishing_tail_without_decay(tmp_path, capsys, c
         ("verify", "--svg", "ignored.svg", "--cert"),
         ("decompose", "--seed", "3", "--csv"),
         ("essential", "--seed", "3", "--csv"),
+        ("essential", "--horizon", "300", "--csv"),
+        ("decompose", "--horizon", "300", "--csv"),
+        ("verify", "--horizon", "300", "--cert"),
     ],
 )
 def test_unread_flags_are_usage_errors(tmp_path, monkeypatch, capsys, command, flag, value,
@@ -409,12 +413,6 @@ class TestExitCodes:
             "--k-cap", str(2**15), "--scan-cap", "1000",
         ])
         assert rc == 3
-        assert "error:" in capsys.readouterr().err
-
-    def test_horizon_too_small_exits_2(self, tmp_path, capsys):
-        path = write_spec(tmp_path, TWO_MATRIX)
-        rc = main(["essential", path, "--horizon", "1"])
-        assert rc == 2
         assert "error:" in capsys.readouterr().err
 
 
@@ -523,7 +521,6 @@ def _documents(draw):
 _VALUES = {
     "--angles": ["3", "8", "16", "0", "-1", "nan", "inf"],
     "--eps": ["0.5", "0.05", "0", "-1", "nan", "inf", "1e300"],
-    "--horizon": ["1", "3", "300", "0", "-1", "nan"],
     "--k-cap": ["8", "1024", "0", "-1", "inf", HUGE],
     "--seed": ["0", "7", "-1", "nan", HUGE],
     "--groups": ["1", "3", "0", "-1", "nan"],
@@ -534,7 +531,7 @@ _VALUES = {
     "--tail-start": ["1", "4", "100", "0", "-1", "nan"],
 }
 # The value flags that each subcommand reads.
-_LIMSUP = ("--angles", "--eps", "--horizon", "--k-cap")
+_LIMSUP = ("--angles", "--eps", "--k-cap")
 _COMMANDS = {
     "range": ("--angles", "--block"),
     "essential": _LIMSUP,

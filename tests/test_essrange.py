@@ -19,7 +19,6 @@ from numpy.testing import assert_allclose
 from blockrange import (
     BlockOperatorSpec,
     ConvexRegion,
-    HorizonTooSmall,
     InconsistentResult,
     PointCloud,
     VanishingTail,
@@ -251,17 +250,3 @@ def test_dense_gap_within_the_inscribed_polygon_bound(prefix, shift, eps):
     ang = np.sort(np.angle(res.limsup.points + shift))
     g = max(np.diff(ang).max(), 2 * np.pi - (ang[-1] - ang[0]))
     assert res.crosscheck_gap <= 1 - np.cos(g / 2) + 1e-12
-
-
-@pytest.mark.parametrize(
-    "spec, need",
-    [
-        (scalar_periodic_spec([1.0, 1j, -1.0], prefix=[5.0, 6.0]), 5),
-        (vanishing_spec([[[0.0]], [[1.0]]], c=0.5, prefix=[[[5.0]]]), 3),
-    ],
-    ids=["periodic", "vanishing"],
-)
-def test_horizon_must_cover_prefix_and_one_round(spec, need):
-    essential_numerical_range(spec, horizon=need)
-    with pytest.raises(HorizonTooSmall):
-        essential_numerical_range(spec, horizon=need - 1)

@@ -302,9 +302,9 @@ class TestScanOnTheUntranslatedOperator:
         we = essential_numerical_range(spec, grid=90)
         z = choose_translation(we.region).z
         eps *= spec.norm_bound
-        got = regroup(spec, we, eps=eps, depth=depth, grid=90, z=z)
+        got = regroup(spec, we, eps=eps, depth=depth, z=z)
         # the public form on a fresh memo: every block solved again, shifted
-        want = regroup(translate_spec(spec, z), _translated(we, z), eps=eps, depth=depth, grid=90)
+        want = regroup(translate_spec(spec, z), _translated(we, z), eps=eps, depth=depth)
         assert got.boundaries == want.boundaries
         for mine, theirs in zip(got.selections, want.selections):
             for a, b in zip(mine, theirs, strict=True):
